@@ -3,9 +3,10 @@ package websyn
 // The allocation-budget and differential suites pinning the zero-alloc
 // match hot path (internal/match's scratch arenas, served through
 // MatchServer.DoView) and the mmap snapshot boot. These are the
-// acceptance gates of the arena work: byte-identical responses to the
-// reference engine on every mined corpus, a hard allocs-per-op ceiling
-// per query class, and a bounded cold-boot time for mapped snapshots.
+// acceptance gates of the arena work: pooled, reused arenas answer
+// byte-identically to a fresh one on every mined corpus, a hard
+// allocs-per-op ceiling per query class, and a bounded cold-boot time
+// for mapped snapshots.
 
 import (
 	"encoding/json"
@@ -67,12 +68,12 @@ func diffQuerySet(snap *Snapshot) []string {
 	return qs
 }
 
-// TestArenaDifferentialAllSnapshots is the old-vs-arena differential
+// TestArenaDifferentialAllSnapshots is the arena-reuse differential
 // gate over every mined corpus: for each snapshot, each mode and each
-// query, the arena path (DoView over pooled scratch) must produce a
-// response JSON-byte-identical to the reference engine path
-// (Engine.Match), Timing aside. This is what licenses the zero-alloc
-// rewrite to exist at all.
+// query, the serving path (DoView over pooled, reused scratch) must
+// produce a response JSON-byte-identical to Engine.Match's (the same
+// pipeline over a fresh scratch), Timing aside — stale buffers or views
+// stranded by reuse would show as diffs.
 func TestArenaDifferentialAllSnapshots(t *testing.T) {
 	for name, snap := range allSnapshots(t) {
 		t.Run(name, func(t *testing.T) {
@@ -119,7 +120,7 @@ func TestArenaDifferentialAllSnapshots(t *testing.T) {
 // TestEngineAllocBudget is the allocation gate on the steady-state match
 // path: with caching disabled, an exact trie query must perform zero
 // heap allocations end to end, and the typo and span-fuzzy classes must
-// stay within small fixed budgets (the reference path spends hundreds).
+// stay within small fixed budgets.
 // Budgets are ceilings, not targets — tighten them when the path
 // improves, never loosen without understanding what regressed.
 func TestEngineAllocBudget(t *testing.T) {
@@ -146,7 +147,7 @@ func TestEngineAllocBudget(t *testing.T) {
 			"madagscar 2 trailer",
 		}},
 		// Span-level fuzzy resolution through the trigram index. The
-		// reference path spends ~530 allocs/op here; the arena must stay
+		// pre-arena engine spent ~530 allocs/op here; the arena must stay
 		// at or below 10% of that (ISSUE 6 acceptance), and in practice
 		// at a small constant.
 		{"span-fuzzy", 16, []string{

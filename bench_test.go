@@ -471,8 +471,8 @@ func BenchmarkSnapshotOpen(b *testing.B) {
 	})
 }
 
-// BenchmarkFuzzyLookup contrasts the flat and sharded trigram indexes on
-// whole-string fuzzy lookups of misspelled queries.
+// BenchmarkFuzzyLookup measures whole-string fuzzy lookups of
+// misspelled queries on the trigram index.
 func BenchmarkFuzzyLookup(b *testing.B) {
 	snap := movieSnapshot(b)
 	queries := []string{
@@ -485,23 +485,5 @@ func BenchmarkFuzzyLookup(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = fi.Lookup(queries[i%len(queries)], 5)
 		}
-	})
-	b.Run("sharded", func(b *testing.B) {
-		sfi := snap.Dict.NewShardedFuzzyIndex(snap.MinSim, 0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = sfi.Lookup(queries[i%len(queries)], 5)
-		}
-	})
-	b.Run("sharded-parallel", func(b *testing.B) {
-		sfi := snap.Dict.NewShardedFuzzyIndex(snap.MinSim, 0)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				_ = sfi.Lookup(queries[i%len(queries)], 5)
-				i++
-			}
-		})
 	})
 }

@@ -13,8 +13,8 @@ import (
 // Differential acceptance test for the packed fuzzy index: on every
 // corpus the packed posting-list implementation must return hits
 // byte-identical (text, similarity, order, entries) to the reference
-// map-based implementation it replaced — across flat and sharded
-// variants and a realistic mix of misspelled queries.
+// map-based implementation it replaced — across the built index, its
+// from-packed reload and a realistic mix of misspelled queries.
 
 // refFuzzyIndex is the pre-packed implementation, kept verbatim as the
 // oracle: trigram -> []int posting maps, a per-query candidate map, and
@@ -144,7 +144,10 @@ func TestPackedFuzzyMatchesReferenceOnAllCorpora(t *testing.T) {
 			dict := sim.BuildDictionary(results)
 			ref := newRefFuzzyIndex(dict, DefaultFuzzyMinSim)
 			flat := dict.NewFuzzyIndex(DefaultFuzzyMinSim)
-			sharded := dict.NewShardedFuzzyIndex(DefaultFuzzyMinSim, 4)
+			packed, err := dict.NewFuzzyIndexFromPacked(flat.Packed(), DefaultFuzzyMinSim)
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			queries := []string{"", "zz", "a", "completely unrelated text"}
 			for _, e := range sim.Catalog.All() {
@@ -158,8 +161,8 @@ func TestPackedFuzzyMatchesReferenceOnAllCorpora(t *testing.T) {
 						t.Errorf("flat Lookup(%q, %d) diverged from reference:\n got %+v\nwant %+v", q, limit, got, want)
 						mismatches++
 					}
-					if got := sharded.Lookup(q, limit); !reflect.DeepEqual(got, want) {
-						t.Errorf("sharded Lookup(%q, %d) diverged from reference:\n got %+v\nwant %+v", q, limit, got, want)
+					if got := packed.Lookup(q, limit); !reflect.DeepEqual(got, want) {
+						t.Errorf("from-packed Lookup(%q, %d) diverged from reference:\n got %+v\nwant %+v", q, limit, got, want)
 						mismatches++
 					}
 					if mismatches > 5 {

@@ -11,12 +11,13 @@ import (
 	"websyn/internal/textnorm"
 )
 
-// The arena engine is a parallel implementation of Engine.Match; these
-// tests pin it byte-identical to the reference path. The repo-root
-// differential suite repeats the comparison over the three full domain
-// snapshots (movies, cameras, software).
+// Engine.Match runs the pipeline over a fresh Scratch per call; these
+// tests pin a long-lived, reused Scratch byte-identical to it, so stale
+// buffers and views stranded by arena reuse surface as diffs. The
+// repo-root differential suite repeats the comparison over the three
+// full domain snapshots (movies, cameras, software).
 
-// diffQueries covers every code path the two engines share: exact trie
+// diffQueries covers every code path of the pipeline: exact trie
 // spans, typos, concatenations, span-fuzzy bridges, remainders, empty
 // and degenerate input, Unicode, and alternate-producing ambiguity.
 var diffQueries = []string{
@@ -65,8 +66,8 @@ func diffRequests() []Request {
 	return reqs
 }
 
-// assertResponsesIdentical compares a reference response with an arena
-// response byte-for-byte (timings excluded — they are measurements, not
+// assertResponsesIdentical compares a fresh-arena response with a
+// reused-arena response byte-for-byte (timings excluded — they are measurements, not
 // results).
 func assertResponsesIdentical(t *testing.T, req Request, ref Response, arena *Response) {
 	t.Helper()
@@ -92,9 +93,9 @@ func assertResponsesIdentical(t *testing.T, req Request, ref Response, arena *Re
 	}
 }
 
-// runDifferential drives both paths over every request shape with one
-// shared scratch, so reuse bugs (stale buffers leaking across requests)
-// surface as diffs.
+// runDifferential drives every request shape through one shared scratch
+// and through Match's fresh one, so reuse bugs (stale buffers leaking
+// across requests) surface as diffs.
 func runDifferential(t *testing.T, e *Engine) {
 	t.Helper()
 	sc := NewScratch()
@@ -118,11 +119,6 @@ func TestArenaDifferentialFlatIndex(t *testing.T) {
 	runDifferential(t, testEngine())
 }
 
-func TestArenaDifferentialShardedIndex(t *testing.T) {
-	d := engineDict()
-	runDifferential(t, NewEngine(d, d.NewShardedFuzzyIndex(0.55, 4), engineCanonicals(), 0.55))
-}
-
 func TestArenaDifferentialNoFuzzyIndex(t *testing.T) {
 	d := engineDict()
 	runDifferential(t, NewEngine(d, nil, engineCanonicals(), 0.55))
@@ -133,17 +129,51 @@ func TestArenaDifferentialNoEntityTable(t *testing.T) {
 	runDifferential(t, NewEngine(d, d.NewFuzzyIndex(0.55), nil, 0.55))
 }
 
-// stubFuzzy exercises the non-arena FuzzyLookup fallback.
-type stubFuzzy struct{ inner *FuzzyIndex }
-
-func (s stubFuzzy) Lookup(query string, limit int) []FuzzyHit { return s.inner.Lookup(query, limit) }
-
-func TestArenaDifferentialCustomFuzzyLookup(t *testing.T) {
+// TestSegmentModeMatchesSegmentTokens pins the pipeline's trie stage to
+// its independent reference, Dictionary.SegmentTokens: in ModeSegment the
+// spans, entities, correction flags and remainder must agree, modulo
+// matches the engine drops for resolving outside its entity table (their
+// tokens stay consumed).
+func TestSegmentModeMatchesSegmentTokens(t *testing.T) {
 	d := engineDict()
-	runDifferential(t, NewEngine(d, stubFuzzy{inner: d.NewFuzzyIndex(0.55)}, engineCanonicals(), 0.55))
+	d.Add("ghost entity", Entry{EntityID: 99, Score: 1, Source: "mined"}) // outside engineCanonicals
+	canon := engineCanonicals()
+	e := NewEngine(d, d.NewFuzzyIndex(0.55), canon, 0.55)
+	sc := NewScratch()
+	reqs := append(diffRequests(), Request{Query: "ghost entity indy 4 tickets", Mode: ModeSegment})
+	for _, req := range reqs {
+		if req.Mode != ModeSegment {
+			continue
+		}
+		got, err := e.MatchScratch(req, sc)
+		if err != nil {
+			t.Fatalf("request %+v: %v", req, err)
+		}
+		seg := d.SegmentTokens(textnorm.Tokenize(req.Query))
+		var want []Match
+		for _, m := range seg.Matches {
+			if m.EntityID >= 0 && m.EntityID < len(canon) {
+				want = append(want, m)
+			}
+		}
+		if len(got.Matches) != len(want) {
+			t.Errorf("request %+v: %d matches, SegmentTokens has %d:\n got %+v\nwant %+v", req, len(got.Matches), len(want), got.Matches, want)
+			continue
+		}
+		for i, m := range got.Matches {
+			w := want[i]
+			if m.Start != w.Start || m.End != w.End || m.EntityID != w.EntityID ||
+				m.Corrected != w.Corrected || m.Span != w.Text || m.Score != w.Score || m.Source != w.Source {
+				t.Errorf("request %+v match %d:\n got %+v\nwant %+v", req, i, m, w)
+			}
+		}
+		if got.Remainder != seg.Remainder {
+			t.Errorf("request %+v: remainder %q, SegmentTokens %q", req, got.Remainder, seg.Remainder)
+		}
+	}
 }
 
-// TestArenaDifferentialRandom hammers both paths with generated queries
+// TestArenaDifferentialRandom hammers both arenas with generated queries
 // mixing dictionary vocabulary, typos, concatenations and noise.
 func TestArenaDifferentialRandom(t *testing.T) {
 	e := testEngine()
@@ -205,8 +235,8 @@ func TestScratchTokenizeMatchesTextnorm(t *testing.T) {
 	}
 }
 
-// TestEditWithin1MatchesReference pins the arena's allocation-free
-// distance-1 check to the banded DP it replaces.
+// TestEditWithin1MatchesReference pins the allocation-free distance-1
+// check behind typo correction to textnorm's banded DP.
 func TestEditWithin1MatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	alphabet := []rune("abcdé日")
@@ -252,8 +282,9 @@ func TestEditWithin1MatchesReference(t *testing.T) {
 	}
 }
 
-// TestQueryGramsIntoMatchesQueryGrams pins the arena gram accumulator to
-// the allocating form, including the map takeover past linearDedupMax.
+// TestQueryGramsIntoMatchesQueryGrams pins the gram accumulator, fed a
+// reused buffer, to a map count over textnorm.CharNGrams — including the
+// map takeover past linearDedupMax.
 func TestQueryGramsIntoMatchesQueryGrams(t *testing.T) {
 	long := strings.Repeat("abcdefghijklmnopqrstuvwxyz0123456789 ", 4)
 	inputs := []string{
@@ -262,7 +293,19 @@ func TestQueryGramsIntoMatchesQueryGrams(t *testing.T) {
 	}
 	var buf []queryGram
 	for _, in := range inputs {
-		want, wantTotal := queryGrams(in)
+		in = textnorm.Normalize(in) // queryGramsInto's contract
+		var want []queryGram
+		wantTotal := 0
+		at := map[string]int{}
+		for _, g := range textnorm.CharNGrams(in, fuzzyGramSize) {
+			wantTotal++
+			if i, ok := at[g]; ok {
+				want[i].count++
+				continue
+			}
+			at[g] = len(want)
+			want = append(want, queryGram{text: g, count: 1})
+		}
 		var got []queryGram
 		var gotTotal int
 		got, gotTotal = queryGramsInto(buf[:0], in)

@@ -54,8 +54,8 @@ type Predicate struct {
 // AttributeRewriter turns unmatched query tokens into typed predicates.
 // Implementations must be safe for concurrent use and deterministic: the
 // serving tier runs one rewriter across every request of a generation,
-// and the allocating and arena match paths must produce byte-identical
-// responses.
+// and equal requests must produce byte-identical responses (they share
+// cache entries).
 type AttributeRewriter interface {
 	// RewriteTokens parses the unused tokens (used[i] == false) into
 	// predicates, marking every consumed token in used. minSim, when
@@ -75,30 +75,15 @@ func (e *Engine) SetRewriter(r AttributeRewriter) { e.rewriter = r }
 // Rewriter returns the attached attribute rewriter, nil if none.
 func (e *Engine) Rewriter() AttributeRewriter { return e.rewriter }
 
-// rewritePass executes the attribute rewrite stage for the allocating
-// path: predicates over the still-unused tokens, then the post-rewrite
-// residual. Runs after Remainder is final, so v1 semantics are untouched.
-func (e *Engine) rewritePass(resp *Response, tokens []string, used []bool, req Request, addTrace func(stage, format string, args ...any)) {
-	if e.rewriter == nil {
-		resp.Residual = resp.Remainder
-		return
-	}
-	var explain func(format string, args ...any)
-	if req.Explain {
-		explain = func(format string, args ...any) { addTrace("rewrite", format, args...) }
-	}
-	resp.Attributes = e.rewriter.RewriteTokens(tokens, used, req.MinSim, explain)
-	resp.Residual = joinUnused(tokens, used)
-}
-
-// rewritePass is the arena twin: identical semantics, tracing through the
-// scratch. Deliberately not //websyn:hotpath — the rewrite stage is a v2
-// feature allowed to allocate; the alloc budget gates Rewrite=false
-// classes only. The explain closure must capture only the scratch
-// pointer, never the matchCtx: a closure over c would make every
-// MatchPrepared heap-allocate its context, rewrite requested or not
-// (escape analysis is path-insensitive), blowing the zero-alloc budget
-// of the v1 classes.
+// rewritePass executes the attribute rewrite stage: predicates over the
+// still-unused tokens, then the post-rewrite residual. Runs after
+// Remainder is final, so v1 semantics are untouched. Deliberately not
+// //websyn:hotpath — the rewrite stage is a v2 feature allowed to
+// allocate; the alloc budget gates Rewrite=false classes only. The
+// explain closure must capture only the scratch pointer, never the
+// matchCtx: a closure over c would make every MatchPrepared
+// heap-allocate its context, rewrite requested or not (escape analysis
+// is path-insensitive), blowing the zero-alloc budget of the v1 classes.
 func (c *matchCtx) rewritePass(resp *Response) {
 	e, sc, req := c.e, c.sc, c.req
 	if e.rewriter == nil {

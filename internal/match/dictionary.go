@@ -20,6 +20,7 @@ package match
 import (
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"websyn/internal/textnorm"
 )
@@ -179,6 +180,8 @@ func (d *Dictionary) Strings() []string {
 // correct returns the dictionary vocabulary token closest to tok within
 // edit distance 1, or "" when none or ambiguous. Only tokens of length >= 4
 // are corrected: short tokens ("4", "tv") produce too many false friends.
+//
+//websyn:hotpath
 func (d *Dictionary) correct(tok string) string {
 	if len(tok) < 4 || d.vocab[tok] {
 		return ""
@@ -192,7 +195,7 @@ func (d *Dictionary) correct(tok string) string {
 		if dl > 1 || dl < -1 {
 			continue
 		}
-		if textnorm.EditDistanceAtMost(tok, v, 1) {
+		if editWithin1(tok, v) {
 			if best != "" && best != v {
 				return "" // ambiguous correction: refuse to guess
 			}
@@ -200,4 +203,42 @@ func (d *Dictionary) correct(tok string) string {
 		}
 	}
 	return best
+}
+
+// editWithin1 reports whether the rune-level Levenshtein distance of a
+// and b is at most 1, without allocating: any single-edit alignment must
+// spend its edit at the first rune mismatch, after which the remaining
+// suffixes must be byte-equal.
+//
+//websyn:hotpath
+func editWithin1(a, b string) bool {
+	if a == b {
+		return true
+	}
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		ra, sa := utf8.DecodeRuneInString(a[i:])
+		rb, sb := utf8.DecodeRuneInString(b[j:])
+		if ra == rb {
+			i += sa
+			j += sb
+			continue
+		}
+		if a[i+sa:] == b[j+sb:] { // substitution
+			return true
+		}
+		if a[i+sa:] == b[j:] { // deletion from a
+			return true
+		}
+		return a[i:] == b[j+sb:] // deletion from b
+	}
+	rest := a[i:]
+	if j < len(b) {
+		rest = b[j:]
+	}
+	if rest == "" {
+		return true
+	}
+	_, size := utf8.DecodeRuneInString(rest)
+	return len(rest) == size
 }

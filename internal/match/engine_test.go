@@ -284,20 +284,26 @@ func TestEngineDroppedEntityConsumesTokens(t *testing.T) {
 	}
 }
 
-func TestEngineMatchTokensAgreesWithMatch(t *testing.T) {
+// TestEngineMatchPreparedAgreesWithMatch covers the entry point for
+// callers that tokenized into the scratch themselves (the serving tier
+// does, for its cache key).
+func TestEngineMatchPreparedAgreesWithMatch(t *testing.T) {
 	e := testEngine()
 	req := Request{Query: "Indy 4 kingdom of the kristol skull", TopK: 3}
 	want, err := e.Match(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.MatchTokens(req, []string{"indy", "4", "kingdom", "of", "the", "kristol", "skull"})
+	sc := NewScratch()
+	sc.Tokenize(req.Query)
+	resp, err := e.MatchPrepared(req, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := *resp
 	want.Timing, got.Timing = Timing{}, Timing{}
 	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
-		t.Fatalf("MatchTokens diverged:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("MatchPrepared diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
 

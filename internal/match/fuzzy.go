@@ -38,8 +38,7 @@ type FuzzyIndex struct {
 	strings []string // indexed normalized strings
 	minSim  float64
 
-	// Packed posting lists. gramID and grams may be shared read-only
-	// across the shards of a ShardedFuzzyIndex built from a PackedFuzzy.
+	// Packed posting lists.
 	gramID   map[string]int32 // trigram -> dense gram ID
 	grams    []string         // gram ID -> trigram
 	offsets  []int32          // gram g's postings: postings[offsets[g]:offsets[g+1]]
@@ -75,21 +74,7 @@ type fuzzyScratch struct {
 // dictionary. minSim is the Dice-similarity acceptance threshold
 // (0.5–0.8 are sensible; higher is stricter).
 func (d *Dictionary) NewFuzzyIndex(minSim float64) *FuzzyIndex {
-	return newFuzzyIndexOver(d, d.Strings(), minSim)
-}
-
-// normMinSim resolves the default acceptance threshold.
-func normMinSim(minSim float64) float64 {
-	if minSim <= 0 {
-		return 0.6
-	}
-	return minSim
-}
-
-// newFuzzyIndexOver indexes an explicit subset of dictionary strings —
-// the building block behind both the whole-dictionary index and each
-// shard of a ShardedFuzzyIndex.
-func newFuzzyIndexOver(d *Dictionary, strings []string, minSim float64) *FuzzyIndex {
+	strings := d.Strings()
 	fi := &FuzzyIndex{
 		dict:     d,
 		strings:  strings,
@@ -143,6 +128,14 @@ func newFuzzyIndexOver(d *Dictionary, strings []string, minSim float64) *FuzzyIn
 	return fi
 }
 
+// normMinSim resolves the default acceptance threshold.
+func normMinSim(minSim float64) float64 {
+	if minSim <= 0 {
+		return 0.6
+	}
+	return minSim
+}
+
 // initScratch wires the scratch pool to this index's string count.
 func (fi *FuzzyIndex) initScratch() {
 	n := len(fi.strings)
@@ -153,12 +146,6 @@ func (fi *FuzzyIndex) initScratch() {
 
 // Len returns the number of indexed strings.
 func (fi *FuzzyIndex) Len() int { return len(fi.strings) }
-
-// Shards returns 1: a flat index is a single partition. It exists so a
-// flat index (how mmap-backed snapshots serve, keeping the posting
-// slabs shared with the page cache) and a ShardedFuzzyIndex satisfy one
-// shape-stats interface.
-func (fi *FuzzyIndex) Shards() int { return 1 }
 
 // FuzzyHit is one fuzzy-lookup result.
 type FuzzyHit struct {
@@ -195,7 +182,7 @@ func cmpHit(a, b scoredHit) int {
 	return 0
 }
 
-// arenaHit is the arena path's pre-resolved form of a FuzzyHit: only the
+// arenaHit is the engine's pre-resolved form of a FuzzyHit: only the
 // winning entry is carried, because the engine never reads past
 // Entries[0] — so no per-hit entry list is materialized.
 type arenaHit struct {
@@ -205,31 +192,15 @@ type arenaHit struct {
 	ok   bool // the string resolved to at least one entry
 }
 
-// arenaFuzzy is the allocation-free lookup capability of the built-in
-// trigram indexes; the engine type-asserts it off its FuzzyLookup and
-// falls back to the allocating interface for custom indexes.
-type arenaFuzzy interface {
-	// lookupArena is Lookup over already-normalized text, accumulating
-	// every intermediate in sc. The returned slice aliases sc.hits and is
-	// valid until the scratch's next fuzzy lookup.
-	lookupArena(sc *Scratch, norm string, limit int) []arenaHit
-}
-
 // queryGram is one distinct trigram of a query with its multiplicity.
 type queryGram struct {
 	text  string
 	count int32
 }
 
-// linearDedupMax bounds the slice-scan deduplication in queryGrams;
+// linearDedupMax bounds the slice-scan deduplication in queryGramsInto;
 // past it a map takes over so adversarially long queries stay O(n).
 const linearDedupMax = 64
-
-// queryGrams returns the distinct trigrams of an already-normalized query
-// with multiplicities, plus the total (multiset) gram count.
-func queryGrams(norm string) ([]queryGram, int) {
-	return queryGramsInto(nil, norm)
-}
 
 // gramAccum accumulates distinct query grams with multiplicities.
 // Deduplication is a linear scan while the distinct set is small (real
@@ -270,10 +241,12 @@ func (a *gramAccum) add(g string) {
 	a.out = append(a.out, queryGram{text: g, count: 1})
 }
 
-// queryGramsInto is queryGrams accumulating into a caller-supplied slice
-// (arena reuse: pass sc.qg[:0] and keep the grown result). For ASCII
-// queries — the overwhelmingly common case — gram strings are substrings
-// of norm and no per-gram allocation happens.
+// queryGramsInto returns the distinct trigrams of an already-normalized
+// query with multiplicities, plus the total (multiset) gram count,
+// accumulating into a caller-supplied slice (arena reuse: pass sc.qg[:0]
+// and keep the grown result). For ASCII queries — the overwhelmingly
+// common case — gram strings are substrings of norm and no per-gram
+// allocation happens.
 //
 //websyn:hotpath
 func queryGramsInto(out []queryGram, norm string) ([]queryGram, int) {
@@ -346,19 +319,45 @@ func lengthWindow(minSim float64, qTotal int) (lo, hi int32) {
 
 // Lookup finds the dictionary strings globally similar to the query,
 // best first, up to limit (0 = no limit). Exact hits rank first with
-// similarity 1.
+// similarity 1. It is the engine's search over a throwaway arena, with
+// every hit's full entry list materialized.
 func (fi *FuzzyIndex) Lookup(query string, limit int) []FuzzyHit {
-	norm := textnorm.Normalize(query)
+	var sc Scratch
+	cands := fi.search(&sc, textnorm.Normalize(query), limit)
+	if len(cands) == 0 {
+		return nil
+	}
+	hits := make([]FuzzyHit, len(cands))
+	for i, c := range cands {
+		hits[i] = FuzzyHit{Text: c.text, Similarity: c.sim, Entries: fi.dict.Lookup(c.text)}
+	}
+	return hits
+}
+
+// search is the one lookup pipeline: gram the already-normalized query,
+// scan the postings, keep the top limit candidates best-first. Every
+// intermediate lives in sc; the result aliases sc and is valid until
+// the scratch's next search.
+//
+//websyn:hotpath
+func (fi *FuzzyIndex) search(sc *Scratch, norm string, limit int) []scoredHit {
 	if norm == "" {
 		return nil
 	}
-	qGrams, qTotal := queryGrams(norm)
-	// Very short queries produce no trigram; fall back to exact lookup.
+	qGrams, qTotal := queryGramsInto(sc.qg[:0], norm)
+	sc.qg = qGrams
 	if len(qGrams) == 0 {
-		return exactFallback(fi.dict, norm)
+		// Very short queries produce no trigram; fall back to exact lookup.
+		if len(fi.dict.lookupNormEntries(norm)) == 0 {
+			return nil
+		}
+		sc.cands = append(sc.cands[:0], scoredHit{text: norm, sim: 1})
+		return sc.cands
 	}
-	cands := fi.scan(qGrams, len(qGrams), qTotal, nil)
-	return materializeHits(fi.dict, selectTop(cands, limit))
+	sc.cands = fi.scan(qGrams, len(qGrams), qTotal, sc.cands[:0])
+	var kept []scoredHit
+	kept, sc.heap = selectTopInto(sc.cands, limit, sc.heap)
+	return kept
 }
 
 // scan is the per-index candidate generation and verification step over
@@ -433,15 +432,9 @@ func (fi *FuzzyIndex) scan(qGrams []queryGram, qDistinct, qTotal int, out []scor
 	return out
 }
 
-// selectTop orders candidates best-first and keeps at most limit
-// (0 = no limit).
-func selectTop(cands []scoredHit, limit int) []scoredHit {
-	res, _ := selectTopInto(cands, limit, nil)
-	return res
-}
-
-// selectTopInto is selectTop with a caller-supplied heap buffer (arena
-// reuse: pass the scratch's buffer and keep the grown second result).
+// selectTopInto orders candidates best-first and keeps at most limit
+// (0 = no limit), using a caller-supplied heap buffer (arena reuse: pass
+// the scratch's buffer and keep the grown second result).
 // When the candidate set is larger than the limit, a bounded heap of
 // size limit replaces the full sort, so Lookup(q, 1) never sorts
 // hundreds of hits. The kept set and its order are identical to a full
@@ -493,59 +486,18 @@ func selectTopInto(cands []scoredHit, limit int, buf []scoredHit) (res, heapBuf 
 	return h, h
 }
 
-// materializeHits resolves the selected candidates' dictionary payloads —
-// deferred to after top-k selection so losing candidates never pay for an
-// entry lookup.
-func materializeHits(d *Dictionary, cands []scoredHit) []FuzzyHit {
-	if len(cands) == 0 {
-		return nil
-	}
-	hits := make([]FuzzyHit, len(cands))
-	for i, c := range cands {
-		hits[i] = FuzzyHit{Text: c.text, Similarity: c.sim, Entries: d.Lookup(c.text)}
-	}
-	return hits
-}
-
-// exactFallback resolves trigram-less (very short) queries through the
-// exact dictionary.
-func exactFallback(d *Dictionary, norm string) []FuzzyHit {
-	if es := d.Lookup(norm); es != nil {
-		return []FuzzyHit{{Text: norm, Similarity: 1, Entries: es}}
-	}
-	return nil
-}
-
-// lookupArena is the arena twin of Lookup: norm must already be
-// normalized (the engine only passes arena spans, which are), and every
-// intermediate lives in sc. Results are identical to Lookup's.
+// lookupArena is the engine's lookup: search over already-normalized
+// text (arena spans are), resolving only the best entry per hit (an
+// O(entries) scan instead of a sorted copy), because the engine never
+// reads past the winner. The result aliases sc.hits and is valid until
+// the scratch's next lookup.
 //
 //websyn:hotpath
 func (fi *FuzzyIndex) lookupArena(sc *Scratch, norm string, limit int) []arenaHit {
-	if norm == "" {
-		return nil
-	}
-	qGrams, qTotal := queryGramsInto(sc.qg[:0], norm)
-	sc.qg = qGrams
-	if len(qGrams) == 0 {
-		return exactFallbackArena(fi.dict, norm, sc)
-	}
-	sc.cands = fi.scan(qGrams, len(qGrams), qTotal, sc.cands[:0])
-	var kept []scoredHit
-	kept, sc.heap = selectTopInto(sc.cands, limit, sc.heap)
-	return materializeArena(fi.dict, kept, sc)
-}
-
-// materializeArena resolves selected candidates into arena hits: only
-// the best entry per string is computed (an O(entries) scan instead of a
-// sorted copy), because the engine never reads past the winner.
-//
-//websyn:hotpath
-func materializeArena(d *Dictionary, cands []scoredHit, sc *Scratch) []arenaHit {
 	out := sc.hits[:0]
-	for _, c := range cands {
+	for _, c := range fi.search(sc, norm, limit) {
 		ah := arenaHit{text: c.text, sim: c.sim}
-		if es := d.lookupNormEntries(c.text); len(es) > 0 {
+		if es := fi.dict.lookupNormEntries(c.text); len(es) > 0 {
 			ah.best, ah.ok = bestEntryOf(es), true
 		}
 		out = append(out, ah)
@@ -554,30 +506,14 @@ func materializeArena(d *Dictionary, cands []scoredHit, sc *Scratch) []arenaHit 
 	return out
 }
 
-// exactFallbackArena is exactFallback without the entry-list copy.
-//
-//websyn:hotpath
-func exactFallbackArena(d *Dictionary, norm string, sc *Scratch) []arenaHit {
-	if es := d.lookupNormEntries(norm); len(es) > 0 {
-		sc.hits = append(sc.hits[:0], arenaHit{text: norm, sim: 1, best: bestEntryOf(es), ok: true})
-		return sc.hits
-	}
-	return nil
-}
-
-// BestEntity resolves a query to a single entity through the fuzzy index,
-// preferring exact dictionary hits. The second result reports success.
+// BestEntity resolves a query to a single entity: an exact dictionary
+// hit first, then the top fuzzy hit's best entry. The second result
+// reports success.
 func (fi *FuzzyIndex) BestEntity(query string) (Entry, bool) {
-	return bestEntity(fi.dict, fi.Lookup, query)
-}
-
-// bestEntity is the shared flat/sharded resolution policy: exact
-// dictionary hit first, then the top fuzzy hit's best entry.
-func bestEntity(d *Dictionary, lookup func(string, int) []FuzzyHit, query string) (Entry, bool) {
-	if es := d.Lookup(query); len(es) > 0 {
+	if es := fi.dict.Lookup(query); len(es) > 0 {
 		return es[0], true
 	}
-	hits := lookup(query, 1)
+	hits := fi.Lookup(query, 1)
 	if len(hits) == 0 || len(hits[0].Entries) == 0 {
 		return Entry{}, false
 	}

@@ -2,7 +2,9 @@ package match
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -68,6 +70,40 @@ func TestFuzzyLookupEmptyQuery(t *testing.T) {
 	if hits := fi.Lookup("", 0); hits != nil {
 		t.Fatalf("empty query produced %+v", hits)
 	}
+	if hits := NewDictionary().NewFuzzyIndex(0.6).Lookup("anything", 0); hits != nil {
+		t.Fatalf("empty dictionary returned hits: %v", hits)
+	}
+}
+
+// TestFuzzyLookupConcurrent is the index-level -race test: concurrent
+// lookups share one index and its pooled fuzzyScratch accumulators, and
+// every one must see the single-threaded answer.
+func TestFuzzyLookupConcurrent(t *testing.T) {
+	d := NewDictionary()
+	for i := 0; i < 40; i++ {
+		d.Add(fmt.Sprintf("madagascar episode %d", i), Entry{EntityID: i, Score: 1, Source: "canonical"})
+		d.Add(fmt.Sprintf("kung fu panda %d", i), Entry{EntityID: 100 + i, Score: 1, Source: "canonical"})
+	}
+	d.Add("madagascar escape 2 africa", Entry{EntityID: 500, Score: 1, Source: "canonical"})
+	fi := d.NewFuzzyIndex(0.55)
+	want := fi.Lookup("madagascar2", 5)
+	if len(want) == 0 {
+		t.Fatal("fixture broken: no hits")
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 50; j++ {
+				if got := fi.Lookup("madagascar2", 5); !reflect.DeepEqual(got, want) {
+					t.Errorf("concurrent lookup diverged")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestFuzzyShortQueryFallsBackToExact(t *testing.T) {

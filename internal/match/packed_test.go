@@ -55,7 +55,10 @@ func (lf *legacyFuzzy) Lookup(query string, limit int) []FuzzyHit {
 	}
 	grams := textnorm.CharNGrams(norm, fuzzyGramSize)
 	if len(grams) == 0 {
-		return exactFallback(lf.dict, norm)
+		if es := lf.dict.Lookup(norm); es != nil {
+			return []FuzzyHit{{Text: norm, Similarity: 1, Entries: es}}
+		}
+		return nil
 	}
 	seen := make(map[string]bool, len(grams))
 	qGrams := grams[:0]
@@ -144,17 +147,10 @@ func TestPackedBinaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := d.NewShardedFuzzyIndexFromPacked(got, 0.55, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, q := range packedDiffQueries {
 		want := fi.Lookup(q, 0)
 		if g := flat.Lookup(q, 0); !reflect.DeepEqual(g, want) {
 			t.Errorf("flat-from-packed Lookup(%q) = %+v, want %+v", q, g, want)
-		}
-		if g := sharded.Lookup(q, 0); !reflect.DeepEqual(g, want) {
-			t.Errorf("sharded-from-packed Lookup(%q) = %+v, want %+v", q, g, want)
 		}
 	}
 }
@@ -183,10 +179,7 @@ func TestPackedRejectsBadData(t *testing.T) {
 		p := clone()
 		corrupt(p)
 		if _, err := d.NewFuzzyIndexFromPacked(p, 0.55); err == nil {
-			t.Errorf("%s: flat loader accepted corrupt packed data", name)
-		}
-		if _, err := d.NewShardedFuzzyIndexFromPacked(p, 0.55, 2); err == nil {
-			t.Errorf("%s: sharded loader accepted corrupt packed data", name)
+			t.Errorf("%s: loader accepted corrupt packed data", name)
 		}
 	}
 	// Truncated byte streams must error, not panic.
@@ -263,32 +256,24 @@ func TestRepeatedGramQueryRecall(t *testing.T) {
 	if len(want) != 1 || want[0].Text != "aaaaaaa" {
 		t.Fatalf("oracle fixture broken: %+v", want)
 	}
-	for name, idx := range map[string]interface {
-		Lookup(string, int) []FuzzyHit
-	}{
-		"flat":    d.NewFuzzyIndex(minSim),
-		"sharded": d.NewShardedFuzzyIndex(minSim, 2),
-	} {
-		if got := idx.Lookup(query, 0); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s Lookup(%q) dropped the repeated-gram hit:\n got %+v\nwant %+v", name, query, got, want)
-		}
+	if got := d.NewFuzzyIndex(minSim).Lookup(query, 0); !reflect.DeepEqual(got, want) {
+		t.Errorf("Lookup(%q) dropped the repeated-gram hit:\n got %+v\nwant %+v", query, got, want)
 	}
 }
 
-// ---- Flat / sharded / packed consistency fuzzing ----
+// ---- Flat / packed consistency fuzzing ----
 
 // fuzzFixture builds one dictionary with awkward shapes — repeated
 // trigrams, shared prefixes, numerals, non-ASCII, very short strings —
 // and every index variant over it.
 var fuzzFixture struct {
-	once    sync.Once
-	legacy  *legacyFuzzy
-	flat    *FuzzyIndex
-	sharded *ShardedFuzzyIndex
-	packed  *FuzzyIndex // flat index rebuilt through the binary codec
+	once   sync.Once
+	legacy *legacyFuzzy
+	flat   *FuzzyIndex
+	packed *FuzzyIndex // flat index rebuilt through the binary codec
 }
 
-func fuzzIndexes(tb testing.TB) (*legacyFuzzy, *FuzzyIndex, *ShardedFuzzyIndex, *FuzzyIndex) {
+func fuzzIndexes(tb testing.TB) (*legacyFuzzy, *FuzzyIndex, *FuzzyIndex) {
 	fuzzFixture.once.Do(func() {
 		d := NewDictionary()
 		id := 0
@@ -313,7 +298,6 @@ func fuzzIndexes(tb testing.TB) (*legacyFuzzy, *FuzzyIndex, *ShardedFuzzyIndex, 
 		const minSim = 0.55
 		fuzzFixture.legacy = newLegacyFuzzy(d, minSim)
 		fuzzFixture.flat = d.NewFuzzyIndex(minSim)
-		fuzzFixture.sharded = d.NewShardedFuzzyIndex(minSim, 3)
 		var buf bytes.Buffer
 		if err := fuzzFixture.flat.Packed().WriteBinary(&buf); err != nil {
 			tb.Fatal(err)
@@ -327,12 +311,12 @@ func fuzzIndexes(tb testing.TB) (*legacyFuzzy, *FuzzyIndex, *ShardedFuzzyIndex, 
 			tb.Fatal(err)
 		}
 	})
-	return fuzzFixture.legacy, fuzzFixture.flat, fuzzFixture.sharded, fuzzFixture.packed
+	return fuzzFixture.legacy, fuzzFixture.flat, fuzzFixture.packed
 }
 
-// FuzzFuzzyLookupConsistency asserts the flat index, the sharded index
-// and the packed-codec round trip return identical hits for arbitrary
-// queries and limits.
+// FuzzFuzzyLookupConsistency asserts the built index and its
+// packed-codec round trip return identical hits for arbitrary queries
+// and limits.
 func FuzzFuzzyLookupConsistency(f *testing.F) {
 	f.Add("madagascar2", byte(0))
 	f.Add("kungfu panda 3", byte(1))
@@ -343,12 +327,9 @@ func FuzzFuzzyLookupConsistency(f *testing.F) {
 	f.Add("the lord of the ring", byte(4))
 	f.Add("", byte(1))
 	f.Fuzz(func(t *testing.T, query string, limitByte byte) {
-		_, flat, sharded, packed := fuzzIndexes(t)
+		_, flat, packed := fuzzIndexes(t)
 		limit := int(limitByte % 8)
 		want := flat.Lookup(query, limit)
-		if got := sharded.Lookup(query, limit); !reflect.DeepEqual(got, want) {
-			t.Errorf("sharded Lookup(%q, %d):\n got %+v\nwant %+v", query, limit, got, want)
-		}
 		if got := packed.Lookup(query, limit); !reflect.DeepEqual(got, want) {
 			t.Errorf("packed Lookup(%q, %d):\n got %+v\nwant %+v", query, limit, got, want)
 		}
@@ -360,7 +341,7 @@ func FuzzFuzzyLookupConsistency(f *testing.F) {
 // additionally checks the legacy oracle on query shapes where the old
 // and new prunes admit the same candidates.
 func TestFuzzyLookupConsistencySeeds(t *testing.T) {
-	legacy, flat, sharded, packed := fuzzIndexes(t)
+	legacy, flat, packed := fuzzIndexes(t)
 	queries := []string{
 		"madagascar2", "kungfu panda 3", "madagascar episode 7", "new york",
 		"newyork new york", "aaaa", "abab", "mississipi", "banana",
@@ -371,9 +352,8 @@ func TestFuzzyLookupConsistencySeeds(t *testing.T) {
 		for _, limit := range []int{0, 1, 5} {
 			want := legacy.Lookup(q, limit)
 			for name, got := range map[string][]FuzzyHit{
-				"flat":    flat.Lookup(q, limit),
-				"sharded": sharded.Lookup(q, limit),
-				"packed":  packed.Lookup(q, limit),
+				"flat":   flat.Lookup(q, limit),
+				"packed": packed.Lookup(q, limit),
 			} {
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s Lookup(%q, %d):\n got %+v\nwant %+v", name, q, limit, got, want)

@@ -51,9 +51,8 @@ func TestDoViewMatchesDo(t *testing.T) {
 }
 
 // TestDoViewMatchesDoRewrite extends the differential to v2 requests:
-// the arena path's rewrite stage (matchCtx.rewritePass) must produce
-// responses identical to the allocating path's, attributes and residual
-// included.
+// a view of the rewrite stage's output (matchCtx.rewritePass) must be
+// identical to Do's detached copy, attributes and residual included.
 func TestDoViewMatchesDoRewrite(t *testing.T) {
 	for _, cache := range []int{-1, 64} {
 		snap := testSnapshot()

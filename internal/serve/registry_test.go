@@ -273,7 +273,7 @@ func TestRegistryLegacyDelegation(t *testing.T) {
 // compared with the timing fields normalized; the legacy endpoints are
 // compared byte for byte.
 func TestRegistrySingleDomainDifferential(t *testing.T) {
-	cfg := Config{CacheSize: 16, FuzzyShards: 2}
+	cfg := Config{CacheSize: 16}
 	standalone := httptest.NewServer(NewServer(testSnapshot(), cfg).Handler())
 	defer standalone.Close()
 	reg := NewRegistry(cfg)

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -301,6 +302,57 @@ func TestCanaryRejectsBrokenSnapshot(t *testing.T) {
 		t.Fatalf("explicit canary accepted a snapshot missing its entity: swapped %v, err %v", swapped, err)
 	}
 	mustMatch(t, srv, "indy 4", 0) // old dictionary still live
+}
+
+// TestCanarySeesWhatServes pins the canary to the serving path: for each
+// configured canary query, the matches the candidate generation's engine
+// gave the canary equal what Server.Do answers once that generation is
+// installed — one query per resolution method, so the canary admits a
+// snapshot on exactly the answers traffic will get.
+func TestCanarySeesWhatServes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dict.snap")
+	srv, _ := bootServer(t, path, serve.SnapshotVersion)
+	queries := []string{"indy 4 near san fran", "madagascr 2 dvd", "madagascar2 showtimes"}
+	r, err := New(srv, Config{Path: path, Canary: queries, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	gen, err := srv.Prepare(testSnapshot("next"), serve.SnapshotMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.canary(gen); err != nil {
+		t.Fatalf("canary rejected a good generation: %v", err)
+	}
+	accepted := make([][]match.SpanMatch, len(queries))
+	methods := map[string]bool{}
+	for i, q := range queries {
+		res, err := gen.Engine().Match(match.Request{Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted[i] = res.Matches
+		for _, m := range res.Matches {
+			methods[m.Method] = true
+		}
+	}
+	for _, m := range []string{match.MethodTrie, match.MethodTrieTypo, match.MethodSpanFuzzy} {
+		if !methods[m] {
+			t.Errorf("canary queries never resolved through %q: fixture too weak", m)
+		}
+	}
+
+	srv.Install(gen)
+	for i, q := range queries {
+		res, err := srv.Do(match.Request{Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Matches, accepted[i]) {
+			t.Errorf("query %q: served matches differ from what the canary accepted:\n served %+v\n canary %+v", q, res.Matches, accepted[i])
+		}
+	}
 }
 
 // TestUnchangedFileSkipsSwap pins the change detection: same stat ->

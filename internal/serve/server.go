@@ -35,9 +35,6 @@ type Config struct {
 	// carry (legacy /match/batch and /v1/match alike). 0 means
 	// DefaultMaxBatch.
 	MaxBatch int
-	// FuzzyShards is the number of partitions of the trigram fuzzy
-	// index. 0 means GOMAXPROCS.
-	FuzzyShards int
 	// FuzzyLimit is the number of hits /fuzzy returns. 0 means 5.
 	FuzzyLimit int
 	// MinSim overrides the snapshot's Dice-similarity threshold when
@@ -68,18 +65,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// fuzzyIndexer is the trigram-index capability a generation carries:
-// lookup plus the shape stats /statsz reports. Both the sharded index
-// and the flat index (which mmap-backed snapshots serve from zero-copy)
-// satisfy it.
-type fuzzyIndexer interface {
-	match.FuzzyLookup
-	Len() int
-	Shards() int
-}
-
 // generation is everything the server derives from one snapshot: the
-// compiled dictionary, the sharded fuzzy index, the engine over both,
+// compiled dictionary, the trigram fuzzy index, the engine over both,
 // the entity/synonym tables, and the request cache (caches never
 // outlive the dictionary they were computed against). A generation is
 // immutable once installed; hot reload builds a new one off-thread and
@@ -92,7 +79,7 @@ type generation struct {
 	buildDur   time.Duration
 	loadedAt   time.Time
 	dict       *match.Dictionary
-	fuzzy      fuzzyIndexer
+	fuzzy      *match.FuzzyIndex
 	engine     *match.Engine
 	canonicals []string       // entity ID -> canonical string
 	byNorm     map[string]int // canonical norm -> entity ID
@@ -208,7 +195,7 @@ func NewServerWithMeta(snap *Snapshot, cfg Config, meta SnapshotMeta) *Server {
 }
 
 // Prepare builds a complete serving generation from a snapshot — the
-// expensive part of a reload (shard assembly, entity-table indexing) —
+// expensive part of a reload (index assembly, entity-table indexing) —
 // without touching the live state. Install swaps the result in. The
 // returned generation carries meta for /admin/snapshot; a zero
 // meta.Version falls back to the snapshot's own Version field.
@@ -225,32 +212,19 @@ func (s *Server) Prepare(snap *Snapshot, meta SnapshotMeta) (*Generation, error)
 	if cfg.MinSim > 0 {
 		minSim = cfg.MinSim
 	}
-	var fuzzy fuzzyIndexer
+	var fuzzy *match.FuzzyIndex
 	if snap.Fuzzy != nil {
-		if snap.Fuzzy.Mapped() {
-			// An mmap-backed packed index serves through a flat index that
-			// aliases the mapped slabs zero-copy; sharding would deep-copy
-			// every posting into anonymous memory and forfeit page-cache
-			// sharing across processes.
-			fi, err := snap.Dict.NewFuzzyIndexFromPacked(snap.Fuzzy, minSim)
-			if err != nil {
-				log.Printf("serve: rebuilding fuzzy index, mapped one unusable: %v", err)
-			} else {
-				fuzzy = fi
-			}
-		} else {
-			sfi, err := snap.Dict.NewShardedFuzzyIndexFromPacked(snap.Fuzzy, minSim, cfg.FuzzyShards)
-			if err != nil {
-				// A checksummed snapshot should never get here; fall back to
-				// a clean rebuild rather than refusing to serve.
-				log.Printf("serve: rebuilding fuzzy index, embedded one unusable: %v", err)
-			} else {
-				fuzzy = sfi
-			}
+		// The index aliases the snapshot's posting slabs — zero-copy, and
+		// for an mmap-backed snapshot shared with the page cache.
+		var err error
+		if fuzzy, err = snap.Dict.NewFuzzyIndexFromPacked(snap.Fuzzy, minSim); err != nil {
+			// A checksummed snapshot should never get here; fall back to
+			// a clean rebuild (fuzzy is nil) rather than refusing to serve.
+			log.Printf("serve: rebuilding fuzzy index, embedded one unusable: %v", err)
 		}
 	}
 	if fuzzy == nil {
-		fuzzy = snap.Dict.NewShardedFuzzyIndex(minSim, cfg.FuzzyShards)
+		fuzzy = snap.Dict.NewFuzzyIndex(minSim)
 	}
 	engine := match.NewEngine(snap.Dict, fuzzy, snap.Canonicals, minSim)
 	if snap.Vocab != nil {
@@ -820,7 +794,6 @@ type Stats struct {
 		Entries      int `json:"entries"`
 		Entities     int `json:"entities"`
 		FuzzyStrings int `json:"fuzzy_strings"`
-		FuzzyShards  int `json:"fuzzy_shards"`
 	} `json:"dictionary"`
 	Cache    CacheStats `json:"cache"`
 	Requests struct {
@@ -864,7 +837,6 @@ func (s *Server) Stats() Stats {
 	st.Dictionary.Entries = g.dict.Len()
 	st.Dictionary.Entities = len(g.canonicals)
 	st.Dictionary.FuzzyStrings = g.fuzzy.Len()
-	st.Dictionary.FuzzyShards = g.fuzzy.Shards()
 	st.Cache = g.cache.Stats()
 	st.Cache.SingleflightHits = g.flight.hits.Load()
 	st.Cache.SingleflightShared = g.flight.shared.Load()

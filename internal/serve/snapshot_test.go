@@ -147,8 +147,8 @@ func TestSnapshotReadsVersion1(t *testing.T) {
 	}
 	// A server over the v1 snapshot must serve the same fuzzy hits as
 	// one over the v2 snapshot with the embedded index.
-	v1 := NewServer(got, Config{CacheSize: -1, FuzzyShards: 3})
-	v2 := NewServer(snap, Config{CacheSize: -1, FuzzyShards: 3})
+	v1 := NewServer(got, Config{CacheSize: -1})
+	v2 := NewServer(snap, Config{CacheSize: -1})
 	for _, q := range []string{"madagascar2", "indianna jones 4", "indy4"} {
 		a := v1.gen.Load().fuzzy.Lookup(q, 5)
 		b := v2.gen.Load().fuzzy.Lookup(q, 5)

@@ -46,16 +46,18 @@ const (
 	ModeFuzzy   = match.ModeFuzzy
 )
 
-// NewMatchEngine assembles an engine from its parts. fuzzy may be any
-// trigram index (flat or sharded) or nil; canonicals maps entity ID to
-// canonical string and may be nil; minSim <= 0 uses the package default.
-func NewMatchEngine(dict *MatchDictionary, fuzzy match.FuzzyLookup, canonicals []string, minSim float64) *MatchEngine {
+// NewMatchEngine assembles an engine from its parts. fuzzy is the
+// trigram index over dict, or nil for segmentation only; canonicals maps
+// entity ID to canonical string and may be nil; minSim <= 0 uses the
+// package default.
+func NewMatchEngine(dict *MatchDictionary, fuzzy *FuzzyIndex, canonicals []string, minSim float64) *MatchEngine {
 	return match.NewEngine(dict, fuzzy, canonicals, minSim)
 }
 
 // BuildEngine compiles mined results into a ready-to-query engine: the
-// dictionary via BuildDictionary, a sharded trigram index over it, and
-// the catalog's entity table. minSim <= 0 means DefaultFuzzyMinSim.
+// dictionary via BuildDictionary, the trigram index over it, and the
+// catalog's entity table. minSim <= 0 means DefaultFuzzyMinSim. The
+// engine answers through the same pipeline a MatchServer serves from.
 // The one-call form for library users; servers should go through
 // BuildSnapshot + NewMatchServer instead.
 func (s *Simulation) BuildEngine(results []*MineResult, minSim float64) *MatchEngine {
@@ -63,7 +65,7 @@ func (s *Simulation) BuildEngine(results []*MineResult, minSim float64) *MatchEn
 		minSim = DefaultFuzzyMinSim
 	}
 	dict := s.BuildDictionary(results)
-	return match.NewEngine(dict, dict.NewShardedFuzzyIndex(minSim, 0), s.Catalog.Canonicals(), minSim)
+	return match.NewEngine(dict, dict.NewFuzzyIndex(minSim), s.Catalog.Canonicals(), minSim)
 }
 
 // LoadDictionary reads a dictionary serialized with

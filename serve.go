@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strings"
 
-	"websyn/internal/match"
 	"websyn/internal/rewrite"
 	"websyn/internal/serve"
 	"websyn/internal/serve/reload"
@@ -17,7 +16,7 @@ type (
 	// (dictionary + entity table + synonyms).
 	Snapshot = serve.Snapshot
 	// MatchServer is the online matching tier: cache, batch pool,
-	// sharded fuzzy index, HTTP handlers.
+	// trigram fuzzy index, HTTP handlers.
 	MatchServer = serve.Server
 	// ServeConfig tunes a MatchServer.
 	ServeConfig = serve.Config
@@ -25,9 +24,6 @@ type (
 	ServeStats = serve.Stats
 	// MatchResult is the JSON shape of one matched query.
 	MatchResult = serve.MatchResult
-	// ShardedFuzzyIndex is the partitioned trigram index for concurrent
-	// whole-string fuzzy lookup.
-	ShardedFuzzyIndex = match.ShardedFuzzyIndex
 	// SnapshotMeta records the provenance (path, SHA-256, layout
 	// version) of an installed snapshot.
 	SnapshotMeta = serve.SnapshotMeta
