@@ -180,6 +180,13 @@ func main() {
 	}
 
 	start := time.Now()
+	boot := booter{
+		cfg:            cfg,
+		reloadInterval: *reloadInterval,
+		useMmap:        *useMmap,
+		store:          store,
+		pullInterval:   *pullInterval,
+	}
 	var mux *http.ServeMux
 	var backend fleet.Backend
 	switch {
@@ -187,7 +194,7 @@ func main() {
 		if *writeSnapshot != "" {
 			log.Fatal("-write-snapshot is a mine-at-startup flag; build per-domain snapshots with cmd/dictbuild")
 		}
-		mux, backend = bootRegistry(ctx, specs, cfg, *defaultDomain, *reloadInterval, *canary, *useMmap, store, *pullInterval)
+		mux, backend = boot.registry(ctx, specs, *defaultDomain, *canary)
 	case len(specs) == 1:
 		if *writeSnapshot != "" {
 			// Load + rewrite: upgrades an old-format snapshot file to the
@@ -202,7 +209,7 @@ func main() {
 			log.Printf("wrote snapshot %s", *writeSnapshot)
 			return
 		}
-		mux, backend = bootSingle(ctx, specs[0].path, cfg, *reloadInterval, *canary, *useMmap, store, *pullInterval)
+		mux, backend = boot.standalone(ctx, specs[0], *canary)
 	default:
 		snap, err := mineSnapshot(*dataset, *ipc, *icr, *seed)
 		if err != nil {
@@ -217,10 +224,7 @@ func main() {
 			log.Printf("wrote snapshot %s", *writeSnapshot)
 			return
 		}
-		s := websyn.NewMatchServer(snap, cfg)
-		mux = http.NewServeMux()
-		s.Mount(mux)
-		backend = s
+		mux, backend = mount(websyn.NewMatchServer(snap, cfg))
 	}
 
 	if *pprofEnable {
@@ -349,70 +353,113 @@ func resolveSpecs(flags multiFlag, manifest string) ([]domainSpec, error) {
 // content-addressed store needs a pointer-file name.
 const defaultPullDomain = "default"
 
-// bootSingle is the legacy single-snapshot path, byte-identical to every
-// earlier matchd: one Server, one watcher, no domain routing.
-func bootSingle(ctx context.Context, path string, cfg websyn.ServeConfig, reloadInterval time.Duration, canary string, useMmap bool, store *fleet.Store, pullInterval time.Duration) (*http.ServeMux, fleet.Backend) {
-	blobSHA := ""
-	if store != nil {
-		blobSHA = bootFetchBlob(store, defaultPullDomain, path)
-	}
-	start := time.Now()
-	// The reloader needs the booted content's SHA-256 to seed its change
-	// detection; both loaders compute it during the load.
-	snap, sha, err := loadSnapshot(path, useMmap)
-	if err != nil {
-		log.Fatal(err)
-	}
-	meta := websyn.SnapshotMeta{Path: path, SHA256: sha}
-	log.Printf("loaded snapshot %s (%s, %d dictionary entries, sha256 %.12s) in %v",
-		path, snap.Dataset, snap.Dict.Len(), sha, time.Since(start).Round(time.Millisecond))
+// booter carries the flags every domain boots with.
+type booter struct {
+	cfg            websyn.ServeConfig
+	reloadInterval time.Duration
+	useMmap        bool
+	store          *fleet.Store // nil without -blob-dir
+	pullInterval   time.Duration
+}
 
-	s := websyn.NewMatchServerWithMeta(snap, cfg, meta)
+// mount puts a standalone server on a fresh mux.
+func mount(s *websyn.MatchServer) (*http.ServeMux, fleet.Backend) {
 	mux := http.NewServeMux()
 	s.Mount(mux)
+	return mux, s
+}
 
-	canaries, err := parseCanaries(canary, nil)
+// domain brings one snapshot file up: boot-fetch from the blob store,
+// load, build its server (on reg when there is one), its reloader and —
+// with a blob store — its puller. The standalone spec has no name: it
+// logs without the "domain <name>:" prefix and pulls defaultPullDomain.
+func (b booter) domain(spec domainSpec, canary []string, reg *websyn.Registry, pullers *fleet.Pullers) (*websyn.MatchServer, *websyn.Reloader) {
+	pullName, prefix, loaded := defaultPullDomain, "", "loaded snapshot"
+	var logf func(format string, args ...any) // nil: log.Printf
+	if spec.name != "" {
+		pullName, prefix, loaded = spec.name, "domain "+spec.name+": ", "loaded"
+		logf = func(format string, args ...any) { log.Printf(prefix+format, args...) }
+	}
+	blobSHA := ""
+	if b.store != nil {
+		blobSHA = bootFetchBlob(b.store, pullName, spec.path)
+	}
+	t0 := time.Now()
+	// The reloader needs the booted content's SHA-256 to seed its change
+	// detection; both loaders compute it during the load.
+	snap, sha, err := loadSnapshot(spec.path, b.useMmap)
 	if err != nil {
+		log.Fatalf("%s%v", prefix, err)
+	}
+	meta := websyn.SnapshotMeta{Path: spec.path, SHA256: sha}
+	var srv *websyn.MatchServer
+	if reg == nil {
+		srv = websyn.NewMatchServerWithMeta(snap, b.cfg, meta)
+	} else if srv, err = reg.Add(spec.name, snap, meta); err != nil {
 		log.Fatal(err)
 	}
-	r, err := websyn.NewReloader(s, websyn.ReloadConfig{
-		Path:     path,
-		Interval: reloadInterval,
-		Canary:   canaries[""],
+	log.Printf("%s%s %s (%s, %d dictionary entries, sha256 %.12s) in %v",
+		prefix, loaded, spec.path, snap.Dataset, snap.Dict.Len(), sha, time.Since(t0).Round(time.Millisecond))
+	r, err := websyn.NewReloader(srv, websyn.ReloadConfig{
+		Path:     spec.path,
+		Interval: b.reloadInterval,
+		Canary:   canary,
 		BootSHA:  sha, // already hashed above; skip a second full read
-		Mmap:     useMmap,
+		Mmap:     b.useMmap,
+		Logf:     logf,
 	})
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("%s%v", prefix, err)
 	}
-	r.Mount(mux)
-	go r.Run(ctx)
-	if store != nil {
-		pullers := fleet.NewPullers()
-		p := &fleet.Puller{Store: store, Domain: defaultPullDomain, Reloader: r, Interval: pullInterval}
+	if b.store != nil {
+		p := &fleet.Puller{Store: b.store, Domain: pullName, Reloader: r, Interval: b.pullInterval, Logf: logf}
 		p.SetBootSHA(blobSHA)
 		if err := pullers.Add(p); err != nil {
 			log.Fatal(err)
 		}
-		pullers.Mount(mux)
-		if pullInterval > 0 {
-			go pullers.Run(ctx)
-			log.Printf("blob pull: polling %s pointer in %s every %v", defaultPullDomain, store.Dir, pullInterval)
-		} else {
-			log.Printf("blob pull: POST /admin/pull fetches from %s", store.Dir)
-		}
 	}
-	if reloadInterval > 0 {
-		log.Printf("hot reload: polling %s every %v (POST /admin/reload to trigger now)", path, reloadInterval)
-	} else {
-		log.Printf("hot reload: POST /admin/reload swaps %s in", path)
-	}
-	return mux, s
+	return srv, r
 }
 
-// bootRegistry is the multi-domain path: one Server and one reload
-// watcher per named snapshot behind a domain Registry.
-func bootRegistry(ctx context.Context, specs []domainSpec, cfg websyn.ServeConfig, defaultDomain string, reloadInterval time.Duration, canary string, useMmap bool, store *fleet.Store, pullInterval time.Duration) (*http.ServeMux, fleet.Backend) {
+// admin mounts the blob-pull surface and logs how reloads and pulls are
+// triggered: param is the ?domain= hint a named registry's routes need,
+// the rest name what they act on.
+func (b booter) admin(ctx context.Context, mux *http.ServeMux, pullers *fleet.Pullers, param, pollWhat, swapWhat, pullWhat string) {
+	if b.store != nil {
+		pullers.Mount(mux)
+		if b.pullInterval > 0 {
+			go pullers.Run(ctx)
+			log.Printf("blob pull: polling %s pointer in %s every %v", pullWhat, b.store.Dir, b.pullInterval)
+		} else {
+			log.Printf("blob pull: POST /admin/pull%s fetches from %s", param, b.store.Dir)
+		}
+	}
+	if b.reloadInterval > 0 {
+		log.Printf("hot reload: polling %s every %v (POST /admin/reload%s to trigger now)", pollWhat, b.reloadInterval, param)
+	} else {
+		log.Printf("hot reload: POST /admin/reload%s swaps %s in", param, swapWhat)
+	}
+}
+
+// standalone is the single-snapshot shape, byte-identical to every
+// earlier matchd: one server, one watcher, no domain routing.
+func (b booter) standalone(ctx context.Context, spec domainSpec, canary string) (*http.ServeMux, fleet.Backend) {
+	canaries, err := parseCanaries(canary, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	pullers := fleet.NewPullers()
+	s, r := b.domain(spec, canaries[""], nil, pullers)
+	mux, backend := mount(s)
+	r.Mount(mux)
+	go r.Run(ctx)
+	b.admin(ctx, mux, pullers, "", spec.path, spec.path, defaultPullDomain)
+	return mux, backend
+}
+
+// registry is the multi-domain shape: one server and one reload watcher
+// per named snapshot behind a domain Registry.
+func (b booter) registry(ctx context.Context, specs []domainSpec, defaultDomain, canary string) (*http.ServeMux, fleet.Backend) {
 	names := make([]string, len(specs))
 	for i, s := range specs {
 		names[i] = s.name
@@ -422,50 +469,13 @@ func bootRegistry(ctx context.Context, specs []domainSpec, cfg websyn.ServeConfi
 		log.Fatal(err)
 	}
 
-	reg := websyn.NewRegistry(cfg)
+	reg := websyn.NewRegistry(b.cfg)
 	group := websyn.NewReloadGroup()
 	pullers := fleet.NewPullers()
 	for _, spec := range specs {
-		blobSHA := ""
-		if store != nil {
-			blobSHA = bootFetchBlob(store, spec.name, spec.path)
-		}
-		t0 := time.Now()
-		snap, sha, err := loadSnapshot(spec.path, useMmap)
-		if err != nil {
-			log.Fatalf("domain %s: %v", spec.name, err)
-		}
-		srv, err := reg.Add(spec.name, snap, websyn.SnapshotMeta{Path: spec.path, SHA256: sha})
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("domain %s: loaded %s (%s, %d dictionary entries, sha256 %.12s) in %v",
-			spec.name, spec.path, snap.Dataset, snap.Dict.Len(), sha, time.Since(t0).Round(time.Millisecond))
-		r, err := websyn.NewReloader(srv, websyn.ReloadConfig{
-			Path:     spec.path,
-			Interval: reloadInterval,
-			Canary:   canaries[spec.name],
-			BootSHA:  sha,
-			Mmap:     useMmap,
-			Logf: func(format string, args ...any) {
-				log.Printf("domain "+spec.name+": "+format, args...)
-			},
-		})
-		if err != nil {
-			log.Fatalf("domain %s: %v", spec.name, err)
-		}
+		_, r := b.domain(spec, canaries[spec.name], reg, pullers)
 		if err := group.Add(spec.name, r); err != nil {
 			log.Fatal(err)
-		}
-		if store != nil {
-			p := &fleet.Puller{Store: store, Domain: spec.name, Reloader: r, Interval: pullInterval,
-				Logf: func(format string, args ...any) {
-					log.Printf("domain "+spec.name+": "+format, args...)
-				}}
-			p.SetBootSHA(blobSHA)
-			if err := pullers.Add(p); err != nil {
-				log.Fatal(err)
-			}
 		}
 	}
 	if defaultDomain != "" {
@@ -480,20 +490,7 @@ func bootRegistry(ctx context.Context, specs []domainSpec, cfg websyn.ServeConfi
 	reg.Mount(mux)
 	group.Mount(mux)
 	go group.Run(ctx)
-	if store != nil {
-		pullers.Mount(mux)
-		if pullInterval > 0 {
-			go pullers.Run(ctx)
-			log.Printf("blob pull: polling every domain pointer in %s every %v", store.Dir, pullInterval)
-		} else {
-			log.Printf("blob pull: POST /admin/pull?domain=<name> fetches from %s", store.Dir)
-		}
-	}
-	if reloadInterval > 0 {
-		log.Printf("hot reload: polling every domain snapshot every %v (POST /admin/reload?domain=<name> to trigger now)", reloadInterval)
-	} else {
-		log.Printf("hot reload: POST /admin/reload?domain=<name> swaps that domain's snapshot in")
-	}
+	b.admin(ctx, mux, pullers, "?domain=<name>", "every domain snapshot", "that domain's snapshot", "every domain")
 	return mux, reg
 }
 

@@ -181,8 +181,8 @@ func (r *Router) Run(ctx context.Context) {
 // returns attribute predicates), GET /healthz (200 while ≥1 replica is
 // healthy), GET /statsz.
 func (r *Router) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/match", r.handleV1Match)
-	mux.HandleFunc("POST /v2/match", r.handleV2Match)
+	mux.HandleFunc("POST /v1/match", r.handleMatch(false))
+	mux.HandleFunc("POST /v2/match", r.handleMatch(true))
 	mux.HandleFunc("GET /healthz", r.handleHealthz)
 	mux.HandleFunc("GET /statsz", r.handleStatsz)
 }
@@ -190,62 +190,42 @@ func (r *Router) Mount(mux *http.ServeMux) {
 // errNoReplica is the infra failure when every attempt was exhausted.
 var errNoReplica = errors.New("fleet: no replica answered")
 
-func (r *Router) handleV1Match(w http.ResponseWriter, req *http.Request) {
-	r.handleMatch(w, req, false)
-}
-
-// handleV2Match is the v1 scatter with the rewrite stage switched on:
-// the router stamps Rewrite on every item before it hits the wire, so
-// replicas run attribute extraction and the merged results carry
-// predicates. Clients cannot set the flag themselves (it has no JSON
-// tag) — the endpoint is the API version.
-func (r *Router) handleV2Match(w http.ResponseWriter, req *http.Request) {
-	r.handleMatch(w, req, true)
-}
-
-func (r *Router) handleMatch(w http.ResponseWriter, req *http.Request, rewrite bool) {
-	v1req, ok := serve.DecodeV1(w, req, serve.V1BodyLimit(r.cfg.MaxBatch))
-	if !ok {
-		return
-	}
-	if v1req.Domain != "" && len(v1req.Domains) > 0 {
-		serve.WriteV1Error(w, http.StatusBadRequest, "domain and domains are mutually exclusive")
-		return
-	}
-	items, status, msg := serve.V1Items(v1req, r.cfg.MaxBatch)
-	if msg != "" {
-		serve.WriteV1Error(w, status, "%s", msg)
-		return
-	}
-	if rewrite {
-		for i := range items {
-			items[i].Rewrite = true
-		}
-	}
-
-	r.requests.Add(1)
-	r.queries.Add(uint64(len(items)))
-	results := make([]serve.V1Result, len(items))
-	var infraErr atomic.Pointer[error]
-	r.runPool(len(items), func(i int) {
-		res, err := r.doItem(req.Context(), items[i], v1req.Domains)
-		if err != nil {
-			infraErr.CompareAndSwap(nil, &err)
+// handleMatch is POST /v1/match and, with rewrite, POST /v2/match: the
+// same scatter, except that serve.ParseV1 stamps Rewrite on every item
+// before it hits the wire, so replicas run attribute extraction and the
+// merged results carry predicates. Clients cannot set the flag
+// themselves (it has no JSON tag) — the endpoint is the API version.
+func (r *Router) handleMatch(rewrite bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		items, domains, ok := serve.ParseV1(w, req, r.cfg.MaxBatch, rewrite)
+		if !ok {
 			return
 		}
-		results[i] = res
-	})
-	// Per-item semantic errors (empty query, unknown domain) ride inside
-	// results with a 200, exactly like a replica would answer. An infra
-	// failure — every routable replica down or timed out — is the
-	// router's own fault domain and must be loud: 503, so load gates and
-	// clients see a failed request, not a quietly empty result.
-	if errp := infraErr.Load(); errp != nil {
-		r.failures.Add(1)
-		serve.WriteV1Error(w, http.StatusServiceUnavailable, "%s", (*errp).Error())
-		return
+
+		r.requests.Add(1)
+		r.queries.Add(uint64(len(items)))
+		results := make([]serve.V1Result, len(items))
+		var infraErr atomic.Pointer[error]
+		r.runPool(len(items), func(i int) {
+			res, err := r.doItem(req.Context(), items[i], domains)
+			if err != nil {
+				infraErr.CompareAndSwap(nil, &err)
+				return
+			}
+			results[i] = res
+		})
+		// Per-item semantic errors (empty query, unknown domain) ride inside
+		// results with a 200, exactly like a replica would answer. An infra
+		// failure — every routable replica down or timed out — is the
+		// router's own fault domain and must be loud: 503, so load gates and
+		// clients see a failed request, not a quietly empty result.
+		if errp := infraErr.Load(); errp != nil {
+			r.failures.Add(1)
+			serve.WriteV1Error(w, http.StatusServiceUnavailable, "%s", (*errp).Error())
+			return
+		}
+		writeJSON(w, serve.V1Response{Count: len(results), Results: results})
 	}
-	writeJSON(w, serve.V1Response{Count: len(results), Results: results})
 }
 
 // runPool runs fn(0..n-1) on up to cfg.Workers goroutines.

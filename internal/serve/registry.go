@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"log"
 	"net/http"
 	"sort"
 	"strings"
@@ -12,15 +15,15 @@ import (
 	"websyn/internal/match"
 )
 
-// Registry is the multi-domain serving tier: one process, many
-// structured verticals. Each registered domain owns a complete Server —
-// its own generation handle (dictionary, packed fuzzy shards, engine,
-// entity table, request cache) and, via internal/serve/reload, its own
-// snapshot watcher — so movies can hot-swap a new dictionary while
-// cameras keeps serving, and a reload failure in one vertical cannot
-// touch another.
+// Registry is the request surface of the serving tier: the one set of
+// HTTP handlers, the match routing, and the v1/v2 meters, over one or
+// more domains. Each registered domain owns a complete Server — its own
+// generation handle (dictionary, fuzzy index, engine, entity table,
+// request cache) and, via internal/serve/reload, its own snapshot
+// watcher — so movies can hot-swap a new dictionary while cameras keeps
+// serving, and a reload failure in one vertical cannot touch another.
 //
-// Request routing on POST /v1/match:
+// Request routing on POST /v1/match and /v2/match:
 //
 //   - "domain": "movies" — exact route to that domain; the response is
 //     stamped with the domain that answered.
@@ -30,33 +33,55 @@ import (
 //     its domain of origin.
 //   - neither field — fan out across every registered domain. With a
 //     single registered domain this degenerates to an unstamped exact
-//     route, which is how legacy single-snapshot deployments keep their
-//     byte-identical responses behind a default domain.
+//     route, which is how single-snapshot deployments keep their
+//     byte-identical responses.
+//
+// A request pins every domain to the generation live when it arrived
+// (see pin), so all items of a batch — exact routes and federated legs
+// alike — are answered by one consistent dictionary per domain.
 //
 // The legacy endpoints (GET /match, POST /match/batch, GET /fuzzy,
 // GET /synonyms) route to the default domain, or to ?domain=<name> when
 // given. Domains are registered at boot, before Mount; the set is
 // immutable while serving (per-domain snapshots hot-swap inside their
 // Server instead).
+//
+// The standalone shape — the private registry behind NewServer, its one
+// domain unnamed — is the same code path with a single dictionary's
+// manners: domain routing is refused, and /statsz and /admin/snapshot
+// are that domain's flat Stats and SnapshotInfo. It is not settable: a
+// registry from NewRegistry never has it.
 type Registry struct {
-	cfg     Config
-	start   time.Time
-	domains map[string]*Server
-	names   []string // registration order — the deterministic fan-out order
-	def     string
+	cfg        Config
+	start      time.Time
+	domains    map[string]*Server
+	names      []string // registration order — the deterministic fan-out order
+	def        string
+	standalone bool
 
-	v1Reqs    atomic.Uint64
-	v1Queries atomic.Uint64
-	v2Reqs    atomic.Uint64
-	v2Queries atomic.Uint64
-	fanouts   atomic.Uint64
-	v1Lat     latencyRecorder
-	v2Lat     latencyRecorder
+	api     [2]meters // indexed by apiVersion
+	fanouts atomic.Uint64
 
 	// fedPool recycles the per-request scratch of federated fan-outs
 	// (see fedScratch), so steady-state federation does not allocate
 	// bookkeeping per query.
 	fedPool sync.Pool
+}
+
+// apiVersion is the whole difference between POST /v1/match and
+// /v2/match: the Rewrite switch and the meters a request is counted on.
+type apiVersion int
+
+const (
+	v1 apiVersion = iota
+	v2
+)
+
+// meters are one API version's request counters.
+type meters struct {
+	reqs    atomic.Uint64
+	queries atomic.Uint64
+	lat     latencyRecorder
 }
 
 // NewRegistry returns an empty registry; cfg applies to every domain
@@ -98,10 +123,23 @@ func (reg *Registry) Add(name string, snap *Snapshot, meta SnapshotMeta) (*Serve
 	if snap == nil || snap.Dict == nil {
 		return nil, fmt.Errorf("serve: domain %q: nil snapshot", name)
 	}
-	srv := NewServerWithMeta(snap, reg.cfg, meta)
+	return reg.add(name, snap, meta)
+}
+
+// add is Add without the name grammar: NewServer registers its one
+// domain under the empty name, which no request can spell.
+func (reg *Registry) add(name string, snap *Snapshot, meta SnapshotMeta) (*Server, error) {
+	srv := &Server{reg: reg}
+	g, err := srv.Prepare(snap, meta)
+	if err != nil {
+		return nil, err
+	}
+	g.g.id = 1
+	g.g.loadedAt = time.Now()
+	srv.gen.Store(g.g)
 	reg.domains[name] = srv
 	reg.names = append(reg.names, name)
-	if reg.def == "" {
+	if len(reg.names) == 1 {
 		reg.def = name
 	}
 	return srv, nil
@@ -133,51 +171,95 @@ func (reg *Registry) Names() []string {
 	return append([]string(nil), reg.names...)
 }
 
-// target pairs a domain name with its server for routing.
+// unknownDomain is the error every surface reports for a name that is
+// not registered.
+func (reg *Registry) unknownDomain(name string) error {
+	return fmt.Errorf("unknown domain %q (registered: %s)", name, strings.Join(reg.names, ", "))
+}
+
+// target is one domain pinned for the life of a request: the server and
+// the generation it was serving when the request arrived.
 type target struct {
 	name string
 	srv  *Server
+	gen  *generation
 }
 
-// all returns every domain in registration order.
-func (reg *Registry) all() []target {
-	out := make([]target, 0, len(reg.names))
-	for _, n := range reg.names {
-		out = append(out, target{n, reg.domains[n]})
+// do answers one item on the pinned generation.
+func (t *target) do(it match.Request) (match.Response, bool, error) {
+	t.srv.routedQueries.Add(1)
+	return t.srv.doGen(t.gen, it)
+}
+
+// route is one request's resolved routing. all is every domain in
+// registration order, pinned — what an item's own domain field picks an
+// exact route from; fan is the subset the other items fan out across
+// (all itself unless the request named domains). explicit records that
+// the client named domains — a single-target fan-out only stamps
+// provenance then, so domainless traffic against a single-domain
+// registry stays byte-identical to a standalone server.
+type route struct {
+	all, fan []target
+	explicit bool
+}
+
+// byName returns the pinned domain of that name, or nil.
+func (rt route) byName(name string) *target {
+	for i := range rt.all {
+		if rt.all[i].name == name {
+			return &rt.all[i]
+		}
 	}
-	return out
+	return nil
 }
 
-// resolve expands a domains list into targets: "*" means every domain,
-// duplicates collapse (first occurrence keeps its position), unknown
-// names are an error.
-func (reg *Registry) resolve(names []string) ([]target, error) {
-	seen := make(map[string]bool, len(names))
-	var out []target
-	for _, n := range names {
-		if n == "*" {
-			for _, t := range reg.all() {
-				if !seen[t.name] {
-					seen[t.name] = true
-					out = append(out, t)
-				}
+// pin resolves the routing of a request for items and loads every
+// domain's generation, once: whatever Install lands later, the request
+// keeps answering from the dictionaries it started with. domains is the
+// fan-out list: empty or "*" means every domain, duplicates collapse
+// (first occurrence keeps its position), unknown names are an error.
+func (reg *Registry) pin(domains []string, items ...match.Request) (route, error) {
+	if reg.standalone {
+		// One dictionary: a request naming domains expects behaviour this
+		// deployment cannot provide, so fail loud instead of silently
+		// answering from the wrong (only) domain.
+		const hint = "requires a multi-domain server (matchd -snapshot name=path)"
+		if len(domains) > 0 {
+			return route{}, errors.New("domains " + hint)
+		}
+		for i := range items {
+			if d := items[i].Domain; d != "" {
+				return route{}, fmt.Errorf("domain %q: domain routing %s", d, hint)
 			}
-			continue
 		}
-		if seen[n] {
-			continue
-		}
-		srv, ok := reg.domains[n]
-		if !ok {
-			return nil, fmt.Errorf("unknown domain %q (registered: %s)", n, strings.Join(reg.names, ", "))
-		}
-		seen[n] = true
-		out = append(out, target{n, srv})
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("domains resolves to no domain")
+	all := make([]target, len(reg.names))
+	for i, n := range reg.names {
+		srv := reg.domains[n]
+		//websyn:ignore genhandle request-scoped by design: the pin dies with the response, so it cannot outlast an Install the way a cached handle would
+		all[i] = target{name: n, srv: srv, gen: srv.gen.Load()}
 	}
-	return out, nil
+	rt := route{all: all, fan: all, explicit: len(domains) > 0}
+	if !rt.explicit {
+		return rt, nil
+	}
+	rt.fan = make([]target, 0, len(all))
+	picked := make([]bool, len(all))
+	for _, n := range domains {
+		if n != "*" && rt.byName(n) == nil {
+			return route{}, reg.unknownDomain(n)
+		}
+		for i := range all {
+			if (n == "*" || n == all[i].name) && !picked[i] {
+				picked[i] = true
+				rt.fan = append(rt.fan, all[i])
+			}
+		}
+	}
+	if len(rt.fan) == 0 {
+		return route{}, errors.New("domains resolves to no domain")
+	}
+	return rt, nil
 }
 
 // Handler returns the registry's HTTP API (see Mount).
@@ -187,9 +269,12 @@ func (reg *Registry) Handler() http.Handler {
 	return mux
 }
 
-// Mount registers the multi-domain HTTP API:
+// Mount registers the HTTP API on an existing mux, so callers composing
+// extra routes (the reload admin surface) share one router:
 //
-//	POST /v1/match           — domain-routed and federated matching
+//	POST /v1/match           — unified match API: single + batch, all
+//	                           modes, explain traces, domain-routed and
+//	                           federated matching (see docs/API.md)
 //	POST /v2/match           — v1 plus attribute predicates + residual
 //	GET  /match?q=           — deprecated: default domain (or ?domain=<name>)
 //	POST /match/batch        — deprecated: default domain (or ?domain=<name>)
@@ -199,11 +284,13 @@ func (reg *Registry) Handler() http.Handler {
 //	GET  /admin/snapshot     — all domains' provenance (or ?domain=<name>)
 //	GET  /healthz            — liveness
 //
-// POST /admin/reload and GET /admin/reload/status are served per domain
-// by the reload subsystem; see internal/serve/reload.Group.Mount.
+// The pre-v1 adapters are mounted behind the deprecation shim: same
+// bytes, plus Deprecation/Sunset headers pointing clients at the
+// versioned surface. POST /admin/reload and GET /admin/reload/status are
+// served by the reload subsystem; see internal/serve/reload.
 func (reg *Registry) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/match", reg.handleV1Match)
-	mux.HandleFunc("POST /v2/match", reg.handleV2Match)
+	mux.HandleFunc("POST /v1/match", reg.handleMatch(v1))
+	mux.HandleFunc("POST /v2/match", reg.handleMatch(v2))
 	mux.HandleFunc("GET /match", deprecated(reg.delegate((*Server).handleMatch)))
 	mux.HandleFunc("POST /match/batch", deprecated(reg.delegate((*Server).handleBatch)))
 	mux.HandleFunc("GET /fuzzy", deprecated(reg.delegate((*Server).handleFuzzy)))
@@ -211,20 +298,21 @@ func (reg *Registry) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("GET /statsz", reg.handleStatsz)
 	mux.HandleFunc("GET /admin/snapshot", reg.handleAdminSnapshot)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeText(w, "ok\n")
+		if _, err := io.WriteString(w, "ok\n"); err != nil {
+			log.Printf("serve: writing response: %v", err)
+		}
 	})
 }
 
-// delegate wraps a Server handler with ?domain= resolution, defaulting
-// to the default domain — the legacy endpoints' multi-domain story.
+// delegate wraps a per-domain handler with ?domain= resolution,
+// defaulting to the default domain — the legacy endpoints' multi-domain
+// story. The standalone shape has no names and ignores the parameter.
 func (reg *Registry) delegate(h func(*Server, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		srv := reg.Default()
-		if name := r.URL.Query().Get("domain"); name != "" {
-			var ok bool
-			if srv, ok = reg.domains[name]; !ok {
-				http.Error(w, fmt.Sprintf("unknown domain %q (registered: %s)", name, strings.Join(reg.names, ", ")),
-					http.StatusNotFound)
+		if name := r.URL.Query().Get("domain"); name != "" && !reg.standalone {
+			if srv = reg.domains[name]; srv == nil {
+				http.Error(w, reg.unknownDomain(name).Error(), http.StatusNotFound)
 				return
 			}
 		}
@@ -232,79 +320,60 @@ func (reg *Registry) delegate(h func(*Server, http.ResponseWriter, *http.Request
 	}
 }
 
-func (reg *Registry) handleV1Match(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeV1(w, r, v1BodyLimit(reg.cfg.MaxBatch))
-	if !ok {
-		return
-	}
-	if req.Domain != "" && len(req.Domains) > 0 {
-		writeV1Error(w, http.StatusBadRequest, "domain and domains are mutually exclusive")
-		return
-	}
-	items, status, msg := v1Items(req, reg.cfg.MaxBatch)
-	if msg != "" {
-		writeV1Error(w, status, "%s", msg)
-		return
-	}
-	// Resolve the batch-level fan-out once; items carrying their own
-	// domain (directly or inherited from the top-level field) take an
-	// exact route instead. explicit records whether the client asked for
-	// domain routing by name — a single-target fan-out only stamps
-	// provenance then, so domainless traffic against a single-domain
-	// registry stays byte-identical to a standalone server.
-	fan := reg.all()
-	explicit := len(req.Domains) > 0
-	if explicit {
-		var err error
-		if fan, err = reg.resolve(req.Domains); err != nil {
-			writeV1Error(w, http.StatusBadRequest, "%s", err)
+// handleMatch is POST /v1/match and POST /v2/match.
+func (reg *Registry) handleMatch(ver apiVersion) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		items, domains, ok := ParseV1(w, r, reg.cfg.MaxBatch, ver == v2)
+		if !ok {
 			return
 		}
-	}
-
-	reg.v1Reqs.Add(1)
-	reg.v1Queries.Add(uint64(len(items)))
-	t0 := time.Now()
-	results := make([]V1Result, len(items))
-	runPool(reg.cfg.BatchWorkers, len(items), func(i int) {
-		results[i] = reg.routeItem(fan, items[i], explicit)
-	})
-	reg.v1Lat.observe(time.Since(t0))
-	writeJSON(w, V1Response{Count: len(results), Results: results})
-}
-
-// routeItem answers one item against a resolved fan-out: an item pinned
-// to a domain takes an exact (stamped) route, a single-target fan
-// degenerates to one route, anything else federates.
-func (reg *Registry) routeItem(fan []target, it match.Request, explicit bool) V1Result {
-	if it.Domain != "" {
-		srv, ok := reg.domains[it.Domain]
-		if !ok {
-			return V1Result{Error: fmt.Sprintf("unknown domain %q (registered: %s)", it.Domain, strings.Join(reg.names, ", "))}
+		rt, err := reg.pin(domains, items...)
+		if err != nil {
+			WriteV1Error(w, http.StatusBadRequest, "%s", err)
+			return
 		}
-		return reg.routeOne(target{it.Domain, srv}, it, true)
+		m := &reg.api[ver]
+		m.reqs.Add(1)
+		m.queries.Add(uint64(len(items)))
+		t0 := time.Now()
+		results := make([]V1Result, len(items))
+		runPool(reg.cfg.BatchWorkers, len(items), func(i int) {
+			results[i] = reg.routeItem(rt, items[i])
+		})
+		m.lat.observe(time.Since(t0))
+		writeJSON(w, V1Response{Count: len(results), Results: results})
 	}
-	if len(fan) == 1 {
-		return reg.routeOne(fan[0], it, explicit)
-	}
-	return reg.federate(fan, it)
 }
 
-// DoItem answers one routed /v1/match item programmatically — the entry
+// DoItem answers one routed match item programmatically — the entry
 // point the fleet wire protocol calls into. domains is the item's
 // fan-out list (nil or empty = every registered domain), with the same
 // grammar as the HTTP field: names or "*". Routing errors are per-item,
-// exactly as the HTTP surface reports them.
+// worded as the HTTP surface words them. The returned response may share
+// slices with the request cache: read-only.
 func (reg *Registry) DoItem(it match.Request, domains []string) V1Result {
-	fan := reg.all()
-	explicit := len(domains) > 0
-	if explicit {
-		var err error
-		if fan, err = reg.resolve(domains); err != nil {
-			return V1Result{Error: err.Error()}
-		}
+	rt, err := reg.pin(domains, it)
+	if err != nil {
+		return V1Result{Error: err.Error()}
 	}
-	return reg.routeItem(fan, it, explicit)
+	return reg.routeItem(rt, it)
+}
+
+// routeItem answers one item on a pinned route: an item naming a domain
+// takes an exact (stamped) route, a single-target fan degenerates to one
+// route, anything else federates.
+func (reg *Registry) routeItem(rt route, it match.Request) V1Result {
+	if it.Domain != "" {
+		t := rt.byName(it.Domain)
+		if t == nil {
+			return V1Result{Error: reg.unknownDomain(it.Domain).Error()}
+		}
+		return routeOne(t, it, true)
+	}
+	if len(rt.fan) == 1 {
+		return routeOne(&rt.fan[0], it, rt.explicit)
+	}
+	return reg.federate(rt.fan, it)
 }
 
 // routeOne answers one item on one domain. stamp marks the response with
@@ -312,9 +381,8 @@ func (reg *Registry) DoItem(it match.Request, domains []string) V1Result {
 // single-domain registry, where legacy byte-identity is the contract.
 // Stamping mutates only the response value copy, never cache-shared
 // slices, so the cached response stays domain-neutral.
-func (reg *Registry) routeOne(t target, it match.Request, stamp bool) V1Result {
-	t.srv.routedQueries.Add(1)
-	res, cached, err := t.srv.do(it)
+func routeOne(t *target, it match.Request, stamp bool) V1Result {
+	res, cached, err := t.do(it)
 	if err != nil {
 		return V1Result{Error: err.Error()}
 	}
@@ -344,7 +412,7 @@ type fedScratch struct {
 // inline on the calling worker instead of dispatching to the pool: a
 // cached per-domain match is about a microsecond, far below the cost of
 // waking pool workers, and the caller is already one of the batch
-// pool's workers (handleV1Match fans items out through runPool).
+// pool's workers (handleMatch fans items out through runPool).
 const inlineFanout = 4
 
 // federate fans one item out across the targets and merges the
@@ -370,24 +438,18 @@ func (reg *Registry) federate(targets []target, it match.Request) V1Result {
 		legs = legs[:len(targets)]
 	}
 	defer func() {
-		for i := range legs {
-			legs[i] = fedLeg{}
-		}
+		clear(legs)
 		fs.legs = legs[:0]
 		reg.fedPool.Put(fs)
 	}()
 
 	if len(targets) <= inlineFanout {
 		for i := range targets {
-			t := targets[i]
-			t.srv.routedQueries.Add(1)
-			legs[i].res, legs[i].cached, legs[i].err = t.srv.do(it)
+			legs[i].res, legs[i].cached, legs[i].err = targets[i].do(it)
 		}
 	} else {
 		runPool(reg.cfg.BatchWorkers, len(targets), func(i int) {
-			t := targets[i]
-			t.srv.routedQueries.Add(1)
-			legs[i].res, legs[i].cached, legs[i].err = t.srv.do(it)
+			legs[i].res, legs[i].cached, legs[i].err = targets[i].do(it)
 		})
 	}
 
@@ -505,16 +567,10 @@ func (reg *Registry) Stats() RegistryStats {
 	st.UptimeSeconds = time.Since(reg.start).Seconds()
 	st.DefaultDomain = reg.def
 	st.DomainCount = len(reg.names)
-	st.Requests.V1 = reg.v1Reqs.Load()
-	st.Requests.V1Queries = reg.v1Queries.Load()
-	st.Requests.V2 = reg.v2Reqs.Load()
-	st.Requests.V2Queries = reg.v2Queries.Load()
+	st.Requests.V1, st.Requests.V1Queries = reg.api[v1].reqs.Load(), reg.api[v1].queries.Load()
+	st.Requests.V2, st.Requests.V2Queries = reg.api[v2].reqs.Load(), reg.api[v2].queries.Load()
 	st.Requests.FanoutQueries = reg.fanouts.Load()
-	st.Latency.V1 = reg.v1Lat.snapshot()
-	if st.Requests.V2 > 0 {
-		v2 := reg.v2Lat.snapshot()
-		st.Latency.V2 = &v2
-	}
+	st.Latency.V1, st.Latency.V2 = reg.latencyStats()
 	st.Domains = make(map[string]Stats, len(reg.names))
 	for name, srv := range reg.domains {
 		st.Domains[name] = srv.Stats()
@@ -522,7 +578,24 @@ func (reg *Registry) Stats() RegistryStats {
 	return st
 }
 
+// latencyStats snapshots the match-latency meters; v2 is nil (no /statsz
+// key) until /v2/match has served a request.
+func (reg *Registry) latencyStats() (LatencyStats, *LatencyStats) {
+	l1 := reg.api[v1].lat.snapshot()
+	if reg.api[v2].reqs.Load() == 0 {
+		return l1, nil
+	}
+	l2 := reg.api[v2].lat.snapshot()
+	return l1, &l2
+}
+
+// handleStatsz serves RegistryStats — or, in the standalone shape, the
+// one domain's flat Stats.
 func (reg *Registry) handleStatsz(w http.ResponseWriter, _ *http.Request) {
+	if reg.standalone {
+		writeJSON(w, reg.Default().Stats())
+		return
+	}
 	writeJSON(w, reg.Stats())
 }
 
@@ -536,16 +609,12 @@ func (reg *Registry) SnapshotInfos() map[string]SnapshotInfo {
 }
 
 // handleAdminSnapshot serves all domains' provenance as a name-keyed
-// map, or a single domain's SnapshotInfo with ?domain=<name>.
+// map, or one SnapshotInfo: ?domain=<name>'s, or the standalone domain's.
 func (reg *Registry) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
-	if name := r.URL.Query().Get("domain"); name != "" {
-		srv, ok := reg.domains[name]
-		if !ok {
-			http.Error(w, fmt.Sprintf("unknown domain %q (registered: %s)", name, strings.Join(reg.names, ", ")),
-				http.StatusNotFound)
-			return
-		}
-		writeJSON(w, srv.SnapshotInfo())
+	if reg.standalone || r.URL.Query().Get("domain") != "" {
+		reg.delegate(func(srv *Server, w http.ResponseWriter, _ *http.Request) {
+			writeJSON(w, srv.SnapshotInfo())
+		})(w, r)
 		return
 	}
 	writeJSON(w, reg.SnapshotInfos())

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -273,11 +274,17 @@ func TestRegistryLegacyDelegation(t *testing.T) {
 // compared with the timing fields normalized; the legacy endpoints are
 // compared byte for byte.
 func TestRegistrySingleDomainDifferential(t *testing.T) {
-	cfg := Config{CacheSize: 16}
-	standalone := httptest.NewServer(NewServer(testSnapshot(), cfg).Handler())
+	cfg := Config{CacheSize: 16, MaxBatch: 3}
+	// With a vocabulary, so the /v2/match rows compare real predicates.
+	snapshot := func() *Snapshot {
+		snap := testSnapshot()
+		snap.Vocab = testVocabulary()
+		return snap
+	}
+	standalone := httptest.NewServer(NewServer(snapshot(), cfg).Handler())
 	defer standalone.Close()
 	reg := NewRegistry(cfg)
-	if _, err := reg.Add("default", testSnapshot(), SnapshotMeta{}); err != nil {
+	if _, err := reg.Add("default", snapshot(), SnapshotMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	registry := httptest.NewServer(reg.Handler())
@@ -301,6 +308,10 @@ func TestRegistrySingleDomainDifferential(t *testing.T) {
 		}
 	}
 
+	// One item over cfg.MaxBatch, and one byte class over the body cap
+	// that scales with it.
+	oversizeBatch := `{"queries": [{"query": "a"}, {"query": "b"}, {"query": "c"}, {"query": "d"}]}`
+	oversizeBody := fmt.Sprintf(`{"query": %q}`, strings.Repeat("x ", 1<<20))
 	post := []struct{ path, body string }{
 		{"/match/batch", `{"queries": ["indy 4", "madagascar 2", "nothing here"]}`},
 		{"/match/batch", `{"queries": []}`},
@@ -311,20 +322,29 @@ func TestRegistrySingleDomainDifferential(t *testing.T) {
 		{"/v1/match", `{"query": "x", "queries": [{"query": "y"}]}`},
 		{"/v1/match", `{"query": "x", "mode": "bogus"}`},
 		{"/v1/match", `{"unknown_field": 1}`},
+		{"/v2/match", `{"query": "indy 4 since 2008"}`},
+		{"/v2/match", `{"queries": [{"query": "indy 4 since 2008"}, {"query": "madagascr", "mode": "fuzzy"}], "top_k": 2}`},
+		{"/v2/match", `{"query": "recent indy 4 near san fran", "explain": true}`},
+		{"/v1/match", oversizeBatch},
+		{"/v2/match", oversizeBatch},
+		{"/match/batch", `{"queries": ["a", "b", "c", "d"]}`},
+		{"/v1/match", oversizeBody},
+		{"/v2/match", oversizeBody},
+		{"/match/batch", oversizeBody},
 	}
 	for _, req := range post {
 		a, aBody := postJSON(t, standalone.URL+req.path, req.body)
 		b, bBody := postJSON(t, registry.URL+req.path, req.body)
 		if a.StatusCode != b.StatusCode {
-			t.Errorf("POST %s %s: status %d vs %d", req.path, req.body, a.StatusCode, b.StatusCode)
+			t.Errorf("POST %s %.80s: status %d vs %d", req.path, req.body, a.StatusCode, b.StatusCode)
 			continue
 		}
 		aNorm, bNorm := string(aBody), string(bBody)
-		if req.path == "/v1/match" && a.StatusCode == http.StatusOK {
+		if req.path != "/match/batch" && a.StatusCode == http.StatusOK {
 			aNorm, bNorm = stripTiming(t, aBody), stripTiming(t, bBody)
 		}
 		if aNorm != bNorm {
-			t.Errorf("POST %s %s diverged:\nstandalone: %s\nregistry:   %s", req.path, req.body, aNorm, bNorm)
+			t.Errorf("POST %s %.80s diverged:\nstandalone: %s\nregistry:   %s", req.path, req.body, aNorm, bNorm)
 		}
 	}
 }
@@ -435,17 +455,100 @@ func getStatsJSON(t *testing.T, url string, v any) {
 // domain routing against a single-snapshot server: loud 400, not a
 // silent answer from the wrong (only) dictionary.
 func TestStandaloneServerRejectsDomainRouting(t *testing.T) {
-	ts := httptest.NewServer(testServer(Config{}).Handler())
+	srv := testServer(Config{})
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	for _, body := range []string{
-		`{"query": "indy 4", "domain": "movies"}`,
-		`{"query": "indy 4", "domains": ["*"]}`,
-		`{"queries": [{"query": "indy 4", "domain": "movies"}]}`,
-	} {
-		resp, data := postJSON(t, ts.URL+"/v1/match", body)
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "multi-domain") {
-			t.Errorf("body %s: status %d, %s", body, resp.StatusCode, data)
+	for _, path := range []string{"/v1/match", "/v2/match"} {
+		for _, body := range []string{
+			`{"query": "indy 4", "domain": "movies"}`,
+			`{"query": "indy 4", "domains": ["*"]}`,
+			`{"queries": [{"query": "indy 4", "domain": "movies"}]}`,
+		} {
+			resp, data := postJSON(t, ts.URL+path, body)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "multi-domain") {
+				t.Errorf("%s body %s: status %d, %s", path, body, resp.StatusCode, data)
+			}
+		}
+	}
+
+	// The WFP1 path reports the same refusals per item, word for word.
+	const hint = "requires a multi-domain server (matchd -snapshot name=path)"
+	if got := srv.DoItem(match.Request{Query: "indy 4"}, []string{"*"}); got.Response != nil || got.Error != "domains "+hint {
+		t.Errorf("DoItem with domains: %+v", got)
+	}
+	if got := srv.DoItem(match.Request{Query: "indy 4", Domain: "movies"}, nil); got.Response != nil ||
+		got.Error != `domain "movies": domain routing `+hint {
+		t.Errorf("DoItem with a pinned domain: %+v", got)
+	}
+	if got := srv.DoItem(match.Request{Query: "indy 4"}, nil); got.Error != "" || len(got.Matches) != 1 {
+		t.Errorf("plain DoItem: %+v", got)
+	}
+}
+
+// TestBatchPinsOneGenerationPerDomain is the deterministic proof of the
+// request-scoped pin: a request resolves its routing and loads every
+// domain's generation once, so an Install that lands after that — here,
+// in both domains, to a dictionary that resolves the probe to the other
+// entity — cannot change what any item of the request is answered from,
+// on an exact route or on a federated leg. The next request sees the new
+// dictionaries.
+func TestBatchPinsOneGenerationPerDomain(t *testing.T) {
+	reg := NewRegistry(Config{CacheSize: 16})
+	var servers []*Server
+	for _, name := range []string{"a", "b"} {
+		srv, err := reg.Add(name, probeSnapshot(0), SnapshotMeta{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers = append(servers, srv)
+	}
+	probe := match.Request{Query: "probe target tickets"}
+	items := []match.Request{probe, probe, probe}
+	items[0].Domain, items[1].Domain = "a", "b" // exact routes; items[2] federates
+
+	before := 0 // the entity the pinned dictionaries resolve the probe to
+	for _, domains := range [][]string{nil, {"b", "a"}} {
+		rt, err := reg.pin(domains)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, srv := range servers {
+			gen, err := srv.Prepare(probeSnapshot(1-before), SnapshotMeta{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.Install(gen)
+		}
+		for i, it := range items {
+			res := reg.routeItem(rt, it)
+			if res.Error != "" {
+				t.Fatalf("domains %v item %d: %s", domains, i, res.Error)
+			}
+			want := 1
+			if it.Domain == "" {
+				want = 2 // one federated leg per domain
+			}
+			if len(res.Matches) != want {
+				t.Fatalf("domains %v item %d: matches %+v", domains, i, res.Matches)
+			}
+			for _, m := range res.Matches {
+				if m.EntityID != before {
+					t.Errorf("domains %v item %d (domain %q): entity %d from the post-install generation, want %d",
+						domains, i, m.Domain, m.EntityID, before)
+				}
+			}
+		}
+		// A request that arrives after the installs pins the new ones.
+		before = 1 - before
+		res := reg.DoItem(probe, domains)
+		if res.Error != "" || len(res.Matches) != 2 {
+			t.Fatalf("post-install DoItem: %+v", res)
+		}
+		for _, m := range res.Matches {
+			if m.EntityID != before {
+				t.Errorf("post-install request answered entity %d, want %d", m.EntityID, before)
+			}
 		}
 	}
 }

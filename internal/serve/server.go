@@ -2,9 +2,7 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"runtime"
@@ -133,46 +131,43 @@ func (g *Generation) Entities() int { return len(g.g.canonicals) }
 // string). Callers must treat it as read-only.
 func (g *Generation) Canonicals() []string { return g.g.canonicals }
 
-// Server is the online matching tier: one match.Engine over immutable
-// dictionary state, plus a request cache and counters. Every endpoint —
-// the versioned /v1/match and the legacy /match, /match/batch and
-// /fuzzy adapters — routes through the engine via Server.do. All
-// methods are safe for concurrent use.
+// Server is one domain of the online matching tier: one match.Engine
+// over immutable dictionary state, plus a request cache and counters.
+// Every endpoint — the versioned /v1 and /v2 match and the legacy /match,
+// /match/batch and /fuzzy adapters — reaches the engine through
+// Server.doGen. All methods are safe for concurrent use.
 //
 // The snapshot-derived state lives behind an atomic generation handle:
 // Prepare builds a new generation from a fresh snapshot off the request
 // path and Install swaps it in without dropping traffic (see
 // internal/serve/reload for the watcher that drives this).
+//
+// A Server belongs to exactly one Registry, the request surface (HTTP
+// handlers, routing, the v1/v2 meters): NewServer's private standalone
+// one, or the named one Registry.Add attached it to.
 type Server struct {
-	cfg   Config
-	gen   atomic.Pointer[generation]
-	start time.Time
+	reg *Registry // the surface this domain is mounted on; its Config is the domain's
+	gen atomic.Pointer[generation]
 
+	// Legacy-adapter meters (legacy.go).
 	matchLat latencyRecorder
 	batchLat latencyRecorder
-	v1Lat    latencyRecorder
-	v2Lat    latencyRecorder
 
 	matchReqs    atomic.Uint64
 	batchReqs    atomic.Uint64
 	batchQueries atomic.Uint64
 	fuzzyReqs    atomic.Uint64
 	synReqs      atomic.Uint64
-	v1Reqs       atomic.Uint64
-	v1Queries    atomic.Uint64
-	v2Reqs       atomic.Uint64
-	v2Queries    atomic.Uint64
-	// routedQueries counts queries delivered to this server by a domain
-	// Registry (exact routes and federated fan-out legs alike); always
-	// zero on a standalone single-snapshot server.
+	// routedQueries counts queries the registry delivered to this domain
+	// (exact routes and federated fan-out legs alike).
 	routedQueries atomic.Uint64
 }
 
-// NewServer builds the serving state from a snapshot. When the snapshot
-// embeds a packed fuzzy index (format version 2) the shards are rebuilt
-// from its posting slabs with pure array work; otherwise — version 1
-// snapshots, or mine-at-startup — the index is constructed from the
-// dictionary here.
+// NewServer builds a standalone server: the sole, unnamed domain of a
+// private registry in the single-dictionary shape (see Registry). When
+// the snapshot embeds a packed fuzzy index the generation aliases its
+// posting slabs; otherwise — version 1 snapshots, or mine-at-startup —
+// the index is constructed from the dictionary here.
 func NewServer(snap *Snapshot, cfg Config) *Server {
 	return NewServerWithMeta(snap, cfg, SnapshotMeta{})
 }
@@ -181,16 +176,14 @@ func NewServer(snap *Snapshot, cfg Config) *Server {
 // from (file path, SHA-256), so /admin/snapshot reports provenance from
 // generation 1 instead of only after the first hot swap.
 func NewServerWithMeta(snap *Snapshot, cfg Config, meta SnapshotMeta) *Server {
-	s := &Server{cfg: cfg.withDefaults(), start: time.Now()}
-	g, err := s.Prepare(snap, meta)
+	reg := NewRegistry(cfg)
+	reg.standalone = true
+	s, err := reg.add("", snap, meta)
 	if err != nil {
 		// Only a nil snapshot/dictionary reaches here — a programming
 		// error, not an input error.
 		panic(err)
 	}
-	g.g.id = 1
-	g.g.loadedAt = time.Now()
-	s.gen.Store(g.g)
 	return s
 }
 
@@ -207,7 +200,7 @@ func (s *Server) Prepare(snap *Snapshot, meta SnapshotMeta) (*Generation, error)
 		meta.Version = snap.Version
 	}
 	t0 := time.Now()
-	cfg := s.cfg
+	cfg := s.reg.cfg
 	minSim := snap.MinSim
 	if cfg.MinSim > 0 {
 		minSim = cfg.MinSim
@@ -398,18 +391,13 @@ func (s *Server) DoView(req match.Request, visit func(res *match.Response, cache
 	})
 }
 
-// do answers one request through the cache and the engine. The returned
-// response may share slices with the cache: treat it as read-only (Do
-// detaches for public callers). The bool reports a cache hit; a cached
-// response carries the Timing of the request that computed it.
-func (s *Server) do(req match.Request) (match.Response, bool, error) {
-	return s.doGen(s.gen.Load(), req)
-}
-
-// doGen is do pinned to one generation. Handlers load the generation
-// once per HTTP request and thread it through, so a whole request —
-// every item of a batch included — is answered by one consistent
-// dictionary even when a hot reload lands mid-request.
+// doGen answers one request on one generation through the cache and the
+// engine. The returned response may share slices with the cache: treat
+// it as read-only (Do detaches for public callers). The bool reports a
+// cache hit; a cached response carries the Timing of the request that
+// computed it. The registry loads each domain's generation once per
+// request and threads it through here, so every item of a batch is
+// answered by one dictionary even when a hot reload lands mid-request.
 func (s *Server) doGen(g *generation, req match.Request) (match.Response, bool, error) {
 	var out match.Response
 	var hit bool
@@ -433,32 +421,23 @@ func (s *Server) doGen(g *generation, req match.Request) (match.Response, bool, 
 // identical semantics to POST /v1/match with a single query. The
 // response is detached from the cache and safe to mutate.
 func (s *Server) Do(req match.Request) (match.Response, error) {
-	res, _, err := s.do(req)
+	res, _, err := s.doGen(s.gen.Load(), req)
 	if err != nil {
 		return match.Response{}, err
 	}
 	return detachResponse(res), nil
 }
 
-// DoItem answers one routed /v1/match item programmatically — the entry
-// point the fleet wire protocol calls into. A single-snapshot server has
-// exactly one dictionary, so domain routing (a pinned domain or a
-// domains fan-out list) is rejected with the same message the HTTP
-// handler uses; errors are per-item, never transport-level. The returned
-// response may share slices with the request cache: read-only.
+// Handler returns the HTTP API of the registry this server is mounted on
+// (see Registry.Mount): for a NewServer server, the standalone surface.
+func (s *Server) Handler() http.Handler { return s.reg.Handler() }
+
+// Mount registers that API on an existing mux.
+func (s *Server) Mount(mux *http.ServeMux) { s.reg.Mount(mux) }
+
+// DoItem is Registry.DoItem on the server's registry.
 func (s *Server) DoItem(it match.Request, domains []string) V1Result {
-	if len(domains) > 0 {
-		return V1Result{Error: "domains requires a multi-domain server (matchd -snapshot name=path)"}
-	}
-	if it.Domain != "" {
-		return V1Result{Error: fmt.Sprintf("domain %q: domain routing requires a multi-domain server (matchd -snapshot name=path)", it.Domain)}
-	}
-	s.routedQueries.Add(1)
-	res, cached, err := s.do(it)
-	if err != nil {
-		return V1Result{Error: err.Error()}
-	}
-	return V1Result{Response: &res, Cached: cached}
+	return s.reg.DoItem(it, domains)
 }
 
 // detachResponse deep-copies the slices a caller could mutate, so
@@ -481,12 +460,8 @@ func detachResponse(r match.Response) match.Response {
 	return r
 }
 
-// runPool applies fn to every index in [0, n) on a bounded worker pool.
-func (s *Server) runPool(n int, fn func(i int)) {
-	runPool(s.cfg.BatchWorkers, n, fn)
-}
-
-// runPool is the pool shared by Server batches and Registry fan-outs.
+// runPool applies fn to every index in [0, n) on a bounded worker pool:
+// the registry's batches and wide fan-outs, and the legacy MatchBatch.
 func runPool(workers, n int, fn func(i int)) {
 	if workers > n {
 		workers = n
@@ -529,231 +504,6 @@ func runPool(workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// ---- Legacy compatibility surface ----
-//
-// MatchResult/MatchedSpan/FuzzyResult/FuzzyHit are the pre-v1 JSON
-// shapes. The legacy endpoints keep them byte-for-byte by converting
-// engine responses; new clients should use POST /v1/match.
-
-// MatchResult is the JSON shape of one matched query (GET /match, and
-// one element of POST /match/batch).
-type MatchResult struct {
-	Query     string        `json:"query"`
-	Matches   []MatchedSpan `json:"matches"`
-	Remainder string        `json:"remainder"`
-	// Cached reports whether this response came from the request cache.
-	Cached bool `json:"cached,omitempty"`
-}
-
-// MatchedSpan is one entity mention inside a matched query.
-type MatchedSpan struct {
-	Canonical string  `json:"canonical"`
-	EntityID  int     `json:"entity_id"`
-	Span      string  `json:"span"`
-	Score     float64 `json:"score"`
-	Source    string  `json:"source"`
-	Corrected bool    `json:"corrected,omitempty"`
-}
-
-// legacyMatchResult converts an engine response to the legacy /match
-// shape.
-func legacyMatchResult(res match.Response, cached bool) MatchResult {
-	out := MatchResult{Query: res.Query, Remainder: res.Remainder, Cached: cached}
-	for _, m := range res.Matches {
-		out.Matches = append(out.Matches, MatchedSpan{
-			Canonical: m.Canonical,
-			EntityID:  m.EntityID,
-			Span:      m.Span,
-			Score:     m.Score,
-			Source:    m.Source,
-			Corrected: m.Corrected,
-		})
-	}
-	return out
-}
-
-// Match segments one query against the dictionary in the legacy
-// (segmentation-only) mode, consulting the request cache first.
-func (s *Server) Match(query string) MatchResult {
-	return s.matchGen(s.gen.Load(), query)
-}
-
-// matchGen is Match pinned to one generation (see doGen).
-func (s *Server) matchGen(g *generation, query string) MatchResult {
-	res, cached, err := s.doGen(g, match.Request{Query: query, Mode: match.ModeSegment, TopK: 1})
-	if err != nil {
-		// Only an empty query reaches here; the legacy shape for it is an
-		// empty segmentation.
-		return MatchResult{}
-	}
-	return legacyMatchResult(res, cached)
-}
-
-// MatchBatch segments many queries with a bounded worker pool, returning
-// results in input order. The whole batch runs against one generation:
-// a hot reload mid-batch cannot mix dictionaries within one response.
-func (s *Server) MatchBatch(queries []string) []MatchResult {
-	g := s.gen.Load()
-	out := make([]MatchResult, len(queries))
-	s.runPool(len(queries), func(i int) {
-		out[i] = s.matchGen(g, queries[i])
-	})
-	return out
-}
-
-// Handler returns the HTTP API:
-//
-//	POST /v1/match          — unified match API: single + batch, all
-//	                          modes, explain traces (see docs/API.md)
-//	POST /v2/match          — v1 plus the structured rewrite stage:
-//	                          typed attribute predicates + residual
-//	GET  /match?q=<query>   — deprecated: segment one query
-//	POST /match/batch       — deprecated: segment many queries (JSON body)
-//	GET  /fuzzy?q=<query>   — deprecated: whole-string fuzzy lookup
-//	GET  /synonyms?u=<name> — mined synonyms of a canonical string
-//	GET  /statsz            — cache, dictionary and latency stats
-//	GET  /admin/snapshot    — generation, snapshot provenance, swap count
-//	GET  /healthz           — liveness
-//
-// POST /admin/reload is served by the reload subsystem; see
-// internal/serve/reload.Reloader.Mount.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	s.Mount(mux)
-	return mux
-}
-
-// Mount registers the server's endpoints on an existing mux, so callers
-// composing extra routes (the reload admin surface) share one router.
-// The pre-v1 adapters (/match, /match/batch, /fuzzy) are mounted behind
-// the deprecation shim: same bytes, plus Deprecation/Sunset headers
-// pointing clients at the versioned surface.
-func (s *Server) Mount(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/match", s.handleV1Match)
-	mux.HandleFunc("POST /v2/match", s.handleV2Match)
-	mux.HandleFunc("GET /match", deprecated(s.handleMatch))
-	mux.HandleFunc("POST /match/batch", deprecated(s.handleBatch))
-	mux.HandleFunc("GET /fuzzy", deprecated(s.handleFuzzy))
-	mux.HandleFunc("GET /synonyms", s.handleSynonyms)
-	mux.HandleFunc("GET /statsz", s.handleStatsz)
-	mux.HandleFunc("GET /admin/snapshot", s.handleAdminSnapshot)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeText(w, "ok\n")
-	})
-}
-
-func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		http.Error(w, "missing q parameter", http.StatusBadRequest)
-		return
-	}
-	s.matchReqs.Add(1)
-	t0 := time.Now()
-	res := s.Match(q)
-	s.matchLat.observe(time.Since(t0))
-	writeJSON(w, res)
-}
-
-// BatchRequest is the JSON body of POST /match/batch.
-type BatchRequest struct {
-	Queries []string `json:"queries"`
-}
-
-// BatchResponse is the JSON shape of POST /match/batch.
-type BatchResponse struct {
-	Count   int           `json:"count"`
-	Results []MatchResult `json:"results"`
-}
-
-// bodyLimit scales the request-body cap with the configured batch size
-// (queries are short; 512 bytes each is generous) so a raised -max-batch
-// is not silently capped by a byte limit.
-func (s *Server) bodyLimit() int64 {
-	return v1BodyLimit(s.cfg.MaxBatch)
-}
-
-// v1BodyLimit is the shared request-body cap formula (Server and
-// Registry must agree, or the differential guarantees break).
-func v1BodyLimit(maxBatch int) int64 {
-	return int64(1<<20) + 512*int64(maxBatch)
-}
-
-// V1BodyLimit is the /v1/match request-body cap for a given batch
-// limit — exported so the fleet router applies the same cap as the
-// replicas behind it.
-func V1BodyLimit(maxBatch int) int64 { return v1BodyLimit(maxBatch) }
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.bodyLimit()))
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "bad JSON body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(req.Queries) == 0 {
-		http.Error(w, "empty queries array", http.StatusBadRequest)
-		return
-	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		http.Error(w, fmt.Sprintf("batch of %d exceeds limit %d", len(req.Queries), s.cfg.MaxBatch),
-			http.StatusRequestEntityTooLarge)
-		return
-	}
-	s.batchReqs.Add(1)
-	s.batchQueries.Add(uint64(len(req.Queries)))
-	t0 := time.Now()
-	results := s.MatchBatch(req.Queries)
-	s.batchLat.observe(time.Since(t0))
-	writeJSON(w, BatchResponse{Count: len(results), Results: results})
-}
-
-// FuzzyResult is the JSON shape of /fuzzy.
-type FuzzyResult struct {
-	Query string     `json:"query"`
-	Hits  []FuzzyHit `json:"hits"`
-}
-
-// FuzzyHit is one whole-string fuzzy hit.
-type FuzzyHit struct {
-	Text       string  `json:"text"`
-	Similarity float64 `json:"similarity"`
-	Canonical  string  `json:"canonical"`
-	EntityID   int     `json:"entity_id"`
-}
-
-func (s *Server) handleFuzzy(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		http.Error(w, "missing q parameter", http.StatusBadRequest)
-		return
-	}
-	s.fuzzyReqs.Add(1)
-	res := FuzzyResult{Query: q}
-	limit := s.cfg.FuzzyLimit
-	if limit > match.MaxTopK {
-		limit = match.MaxTopK
-	}
-	eres, _, err := s.do(match.Request{Query: q, Mode: match.ModeFuzzy, TopK: limit})
-	if err == nil {
-		for _, m := range eres.Matches {
-			res.Hits = append(res.Hits, FuzzyHit{
-				Text:       m.Span,
-				Similarity: m.Similarity,
-				Canonical:  m.Canonical,
-				EntityID:   m.EntityID,
-			})
-		}
-	}
-	writeJSON(w, res)
 }
 
 // SynonymsResult is the JSON shape of /synonyms.
@@ -809,8 +559,8 @@ type Stats struct {
 		// unchanged for v1-only deployments.
 		V2        uint64 `json:"v2,omitempty"`
 		V2Queries uint64 `json:"v2_queries,omitempty"`
-		// RoutedQueries counts queries a domain Registry delivered to
-		// this server; omitted (zero) on standalone servers, so the
+		// RoutedQueries counts queries a named registry delivered to
+		// this domain; omitted (zero) on standalone servers, so the
 		// legacy /statsz shape is unchanged.
 		RoutedQueries uint64 `json:"routed_queries,omitempty"`
 	} `json:"requests"`
@@ -825,12 +575,15 @@ type Stats struct {
 
 // Stats returns a point-in-time view of the server's counters. Cache
 // stats are the current generation's: a hot reload installs a fresh
-// cache, so they restart at zero after a swap.
+// cache, so they restart at zero after a swap. The v1/v2 meters are the
+// registry's: a standalone server reports them here (the flat legacy
+// shape); a named domain leaves them to RegistryStats and reports
+// routed_queries instead.
 func (s *Server) Stats() Stats {
 	g := s.gen.Load()
 	var st Stats
 	st.Dataset = g.dataset
-	st.UptimeSeconds = time.Since(s.start).Seconds()
+	st.UptimeSeconds = time.Since(s.reg.start).Seconds()
 	st.Generation = g.id
 	st.Swaps = g.id - 1
 	st.SnapshotVersion = g.meta.Version
@@ -845,23 +598,16 @@ func (s *Server) Stats() Stats {
 	st.Requests.BatchQueries = s.batchQueries.Load()
 	st.Requests.Fuzzy = s.fuzzyReqs.Load()
 	st.Requests.Synonyms = s.synReqs.Load()
-	st.Requests.V1 = s.v1Reqs.Load()
-	st.Requests.V1Queries = s.v1Queries.Load()
-	st.Requests.V2 = s.v2Reqs.Load()
-	st.Requests.V2Queries = s.v2Queries.Load()
-	st.Requests.RoutedQueries = s.routedQueries.Load()
 	st.Latency.Match = s.matchLat.snapshot()
 	st.Latency.Batch = s.batchLat.snapshot()
-	st.Latency.V1 = s.v1Lat.snapshot()
-	if st.Requests.V2 > 0 {
-		v2 := s.v2Lat.snapshot()
-		st.Latency.V2 = &v2
+	if reg := s.reg; reg.standalone {
+		st.Requests.V1, st.Requests.V1Queries = reg.api[v1].reqs.Load(), reg.api[v1].queries.Load()
+		st.Requests.V2, st.Requests.V2Queries = reg.api[v2].reqs.Load(), reg.api[v2].queries.Load()
+		st.Latency.V1, st.Latency.V2 = reg.latencyStats()
+	} else {
+		st.Requests.RoutedQueries = s.routedQueries.Load()
 	}
 	return st
-}
-
-func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.Stats())
 }
 
 // SnapshotInfo is the JSON shape of GET /admin/snapshot: which
@@ -876,7 +622,7 @@ type SnapshotInfo struct {
 	// layout version); zero-valued for in-process mined state.
 	Snapshot SnapshotMeta `json:"snapshot"`
 	// BuildMillis is how long Prepare took to assemble this generation
-	// (shard assembly, entity indexing) before it was swapped in.
+	// (fuzzy index, engine, entity indexing) before it was swapped in.
 	BuildMillis float64 `json:"build_ms"`
 	// LoadedAt is when the generation was installed.
 	LoadedAt    time.Time `json:"loaded_at"`
@@ -899,23 +645,11 @@ func (s *Server) SnapshotInfo() SnapshotInfo {
 	}
 }
 
-func (s *Server) handleAdminSnapshot(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.SnapshotInfo())
-}
-
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
 		log.Printf("serve: encoding response: %v", err)
-	}
-}
-
-// writeText writes a small plain-text body (healthz and friends),
-// logging a failed write like writeJSON does.
-func writeText(w http.ResponseWriter, body string) {
-	if _, err := io.WriteString(w, body); err != nil {
-		log.Printf("serve: writing response: %v", err)
 	}
 }

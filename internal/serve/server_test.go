@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"websyn/internal/match"
@@ -351,22 +353,76 @@ func probeSnapshot(entity int) *Snapshot {
 	}
 }
 
-// TestConcurrentDoAcrossInstall hammers Server.Do from many goroutines
-// while the main goroutine hot-swaps generations whose dictionaries
-// resolve the probe query differently. The per-generation request cache
-// is the subject: after an Install returns, a fresh Do must answer from
-// the new generation — a cache shared across generations would keep
-// serving the old entity. With -race this doubles as the data-race proof
-// for the generation handle under the public Do API.
+// TestConcurrentDoAcrossInstall hammers a domain from many goroutines,
+// on two surfaces — the public Do API and 256-item /v1/match batches
+// through its registry's handler — while the main goroutine hot-swaps
+// generations whose dictionaries resolve the probe query differently.
+// The per-generation request cache is the subject of the first: after an
+// Install returns, a fresh Do must answer from the new generation — a
+// cache shared across generations would keep serving the old entity. The
+// request-scoped generation pin is the subject of the second: every item
+// of one response, exact route or single-target fan, must come from the
+// same dictionary. With -race this doubles as the data-race proof for
+// the generation handle under both.
 func TestConcurrentDoAcrossInstall(t *testing.T) {
-	s := NewServer(probeSnapshot(0), Config{CacheSize: 64})
+	reg := NewRegistry(Config{CacheSize: 64, BatchWorkers: 4})
+	s, err := reg.Add("probe", probeSnapshot(0), SnapshotMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	req := match.Request{Query: "probe target tickets"}
+
+	// Whatever generation answered, the response must be internally
+	// consistent — one of the two valid answers, never a blend.
+	torn := func(res *match.Response) bool {
+		return len(res.Matches) != 1 || res.Matches[0].EntityID > 1 || res.Remainder != "tickets"
+	}
+	handler := reg.Handler()
+	var batch V1Request
+	for i := 0; i < 256; i++ {
+		it := req
+		if i%2 == 0 {
+			it.Domain = "probe"
+		}
+		batch.Queries = append(batch.Queries, it)
+	}
+	batchBody := mustJSON(batch)
+	surfaces := []func() error{
+		func() error {
+			res, err := s.Do(req)
+			if err != nil {
+				return fmt.Errorf("Do: %v", err)
+			}
+			if torn(&res) {
+				return fmt.Errorf("torn response: %+v", res)
+			}
+			return nil
+		},
+		func() error {
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/match", bytes.NewReader(batchBody)))
+			var vr V1Response
+			if err := json.Unmarshal(rec.Body.Bytes(), &vr); err != nil || len(vr.Results) != 256 {
+				return fmt.Errorf("batch: status %d, %d results, %v", rec.Code, len(vr.Results), err)
+			}
+			for i, r := range vr.Results {
+				if r.Response == nil || torn(r.Response) {
+					return fmt.Errorf("batch item %d torn: %+v", i, r)
+				}
+				if got, want := r.Matches[0].EntityID, vr.Results[0].Matches[0].EntityID; got != want {
+					return fmt.Errorf("batch mixed generations: item %d answered entity %d, item 0 entity %d", i, got, want)
+				}
+			}
+			return nil
+		},
+	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	var rounds [2]atomic.Int64 // completed calls per surface
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func() {
+		go func(k int) {
 			defer wg.Done()
 			for {
 				select {
@@ -374,20 +430,23 @@ func TestConcurrentDoAcrossInstall(t *testing.T) {
 					return
 				default:
 				}
-				res, err := s.Do(req)
-				if err != nil {
-					t.Errorf("Do: %v", err)
+				if err := surfaces[k](); err != nil {
+					t.Error(err)
 					return
 				}
-				// Whatever generation answered, the response must be
-				// internally consistent — one of the two valid answers,
-				// never a blend.
-				if len(res.Matches) != 1 || res.Matches[0].EntityID > 1 || res.Remainder != "tickets" {
-					t.Errorf("torn response: %+v", res)
-					return
-				}
+				rounds[k].Add(1)
 			}
-		}()
+		}(w % len(surfaces))
+	}
+	// awaitTraffic holds the next swap back until both surfaces have
+	// completed a call that started after the previous one.
+	awaitTraffic := func() {
+		seen := [2]int64{rounds[0].Load(), rounds[1].Load()}
+		for k := range rounds {
+			for rounds[k].Load() < seen[k]+2 && !t.Failed() {
+				runtime.Gosched()
+			}
+		}
 	}
 
 	const swaps = 10
@@ -408,6 +467,7 @@ func TestConcurrentDoAcrossInstall(t *testing.T) {
 		if len(res.Matches) != 1 || res.Matches[0].EntityID != entity {
 			t.Fatalf("swap %d: Do answered entity %+v, want %d (stale generation served)", i, res.Matches, entity)
 		}
+		awaitTraffic()
 	}
 	close(stop)
 	wg.Wait()

@@ -9,14 +9,14 @@
 //   - Snapshot: a versioned binary serialization of everything the online
 //     tier needs (compiled dictionary, entity table, synonym map), so a
 //     server starts in milliseconds instead of re-running the miner.
-//   - Server: HTTP handlers for single-query match, batched match with a
-//     bounded worker pool, whole-string fuzzy lookup (sharded), synonym
-//     listing, and a /statsz observability endpoint.
-//   - An LRU request cache keyed on the normalized query, with hit/miss
-//     counters.
-//   - An atomic generation handle (Prepare/Install) so the whole
-//     snapshot-derived state hot-swaps without dropping traffic; the
-//     watcher driving it lives in internal/serve/reload.
+//   - Server: one domain — the engine over one snapshot behind an atomic
+//     generation handle (Prepare/Install), so the snapshot-derived state
+//     hot-swaps without dropping traffic (internal/serve/reload drives
+//     it), plus a sharded CLOCK request cache with singleflight on misses.
+//   - Registry: the one request surface over one or more domains — the
+//     POST /v1/match and /v2/match handler (single and batched, domain-
+//     routed and federated), the deprecated pre-v1 adapters, /statsz and
+//     /admin/snapshot. A standalone Server is a one-domain registry.
 //
 // cmd/matchd is a thin flag-parsing wrapper around this package, and
 // cmd/dictbuild produces Snapshot files.

@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
-	"time"
 
 	"websyn/internal/match"
 )
@@ -28,6 +26,27 @@ import (
 // Request-level failures (malformed JSON, unknown fields, oversized
 // batch) are JSON error objects with a 4xx status. See docs/API.md for
 // the full contract.
+//
+// POST /v2/match is the attribute-aware successor. The request grammar
+// is identical (single query or batch, the same tuning fields, the same
+// domain routing); the difference is the response: v2 runs the
+// structured rewrite stage over the tokens the entity match left
+// behind, so each result additionally carries
+//
+//	"attributes": typed predicates parsed from the remainder
+//	              ({column, op, value|text, unit, span, source, ...}),
+//	"residual":   the remainder minus the spans the predicates consumed.
+//
+// "cheap canon 40d lens under $500" thus resolves to the Canon 40D
+// entity plus price<=q1 (band "cheap") and price<500 (comparator
+// "under 500"), with residual "lens". Every other field is bit-for-bit
+// the v1 shape, which is what makes the migration mechanical; see
+// docs/API.md#v1v2-migration.
+//
+// v1 stays frozen: the rewrite stage only runs when the request arrived
+// through /v2 (Rewrite has no JSON tag, so the endpoint is the only
+// switch), and /v1/match responses are byte-identical with or without a
+// vocabulary loaded.
 
 // V1Request is the body of POST /v1/match: one match.Request, optionally
 // carrying a batch. Unknown fields are rejected.
@@ -41,8 +60,8 @@ type V1Request struct {
 	// merges the answers into one federated response per item: an
 	// explicit list, or ["*"] for every domain. Mutually exclusive with
 	// the top-level domain field; an item's own domain field overrides
-	// the fan-out with an exact route. Only a multi-domain Registry
-	// accepts it — a single-snapshot Server rejects domain routing.
+	// the fan-out with an exact route. Only a named registry accepts it
+	// — the standalone shape rejects domain routing.
 	Domains []string `json:"domains,omitempty"`
 }
 
@@ -73,17 +92,9 @@ type v1Error struct {
 // error shape. Exported for front ends (the fleet router) that must
 // speak the exact same error grammar as the serving tier.
 func WriteV1Error(w http.ResponseWriter, status int, format string, args ...any) {
-	writeV1Error(w, status, format, args...)
-}
-
-func writeV1Error(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v1Error{Error: fmt.Sprintf(format, args...)}); err != nil {
-		log.Printf("serve: encoding error response: %v", err)
-	}
+	writeJSON(w, v1Error{Error: fmt.Sprintf(format, args...)})
 }
 
 // inheritDefaults fills an item's zero fields from the batch-level
@@ -108,110 +119,51 @@ func inheritDefaults(item, top match.Request) match.Request {
 	return item
 }
 
-// DecodeV1 parses a POST /v1/match body, writing the 4xx itself on
-// failure. Shared by the single-domain Server, the domain Registry and
-// the fleet router so all three speak the exact same request grammar.
-func DecodeV1(w http.ResponseWriter, r *http.Request, limit int64) (V1Request, bool) {
-	return decodeV1(w, r, limit)
+// maxBodyBytes scales the request-body cap with the batch limit (queries
+// are short; 512 bytes each is generous) so a raised -max-batch is not
+// silently capped by a byte limit.
+func maxBodyBytes(maxBatch int) int64 {
+	return int64(1<<20) + 512*int64(maxBatch)
 }
 
-func decodeV1(w http.ResponseWriter, r *http.Request, limit int64) (V1Request, bool) {
+// ParseV1 reads a POST /v1/match or /v2/match body into the items to
+// answer and the batch-level domains fan-out: decode (unknown fields
+// rejected, body capped by the batch limit), the domain/domains
+// exclusivity check, batch expansion with the top-level fields as
+// per-item defaults, and — with rewrite, the /v2 surface — the Rewrite
+// stamp on every item. On failure it has written the 4xx. The registry
+// and the fleet router both start a request here: one request grammar.
+func ParseV1(w http.ResponseWriter, r *http.Request, maxBatch int, rewrite bool) (items []match.Request, domains []string, ok bool) {
+	fail := func(status int, format string, args ...any) ([]match.Request, []string, bool) {
+		WriteV1Error(w, status, format, args...)
+		return nil, nil, false
+	}
 	var req V1Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes(maxBatch)))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeV1Error(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-			return V1Request{}, false
+			return fail(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
 		}
-		writeV1Error(w, http.StatusBadRequest, "bad JSON body: %s", err)
-		return V1Request{}, false
+		return fail(http.StatusBadRequest, "bad JSON body: %s", err)
 	}
-	return req, true
-}
-
-// V1Items expands a decoded request into its per-item list, applying
-// batch-level defaults. A non-empty message (with its HTTP status)
-// reports a request-level failure. Exported for the fleet router, which
-// expands a client batch and scatters the items across replicas.
-func V1Items(req V1Request, maxBatch int) (items []match.Request, status int, msg string) {
-	return v1Items(req, maxBatch)
-}
-
-func v1Items(req V1Request, maxBatch int) (items []match.Request, status int, msg string) {
 	items = req.Queries
-	if len(items) == 0 {
-		if req.Query == "" {
-			return nil, http.StatusBadRequest, "set query, or queries for a batch"
-		}
+	switch {
+	case req.Domain != "" && len(req.Domains) > 0:
+		return fail(http.StatusBadRequest, "domain and domains are mutually exclusive")
+	case len(items) == 0 && req.Query == "":
+		return fail(http.StatusBadRequest, "set query, or queries for a batch")
+	case len(items) == 0:
 		items = []match.Request{req.Request}
-	} else {
-		if req.Query != "" {
-			return nil, http.StatusBadRequest, "query and queries are mutually exclusive"
-		}
-		if len(items) > maxBatch {
-			return nil, http.StatusRequestEntityTooLarge, fmt.Sprintf("batch of %d exceeds limit %d", len(items), maxBatch)
-		}
-		for i := range items {
-			items[i] = inheritDefaults(items[i], req.Request)
-		}
+	case req.Query != "":
+		return fail(http.StatusBadRequest, "query and queries are mutually exclusive")
+	case len(items) > maxBatch:
+		return fail(http.StatusRequestEntityTooLarge, "batch of %d exceeds limit %d", len(items), maxBatch)
 	}
-	return items, 0, ""
-}
-
-// doItems answers an expanded item list on the worker pool, the whole
-// batch on one generation — a hot swap mid-request cannot answer some
-// items from the old dictionary and some from the new. Counting and
-// timing belong to the per-version wrappers (doBatch, doBatchV2).
-func (s *Server) doItems(items []match.Request) []V1Result {
-	g := s.gen.Load()
-	results := make([]V1Result, len(items))
-	s.runPool(len(items), func(i int) {
-		res, cached, err := s.doGen(g, items[i])
-		if err != nil {
-			results[i] = V1Result{Error: err.Error()}
-			return
-		}
-		results[i] = V1Result{Response: &res, Cached: cached}
-	})
-	return results
-}
-
-// doBatch answers an expanded item list as one v1 request: counted once,
-// timed once.
-func (s *Server) doBatch(items []match.Request) []V1Result {
-	s.v1Reqs.Add(1)
-	s.v1Queries.Add(uint64(len(items)))
-	t0 := time.Now()
-	results := s.doItems(items)
-	s.v1Lat.observe(time.Since(t0))
-	return results
-}
-
-func (s *Server) handleV1Match(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeV1(w, r, s.bodyLimit())
-	if !ok {
-		return
+	for i := range items {
+		items[i] = inheritDefaults(items[i], req.Request)
+		items[i].Rewrite = rewrite
 	}
-	items, status, msg := v1Items(req, s.cfg.MaxBatch)
-	if msg != "" {
-		writeV1Error(w, status, "%s", msg)
-		return
-	}
-	// A single-snapshot server has exactly one dictionary: a request that
-	// asks for domain routing expects behavior this deployment cannot
-	// provide, so fail loud instead of silently answering from the wrong
-	// (only) domain.
-	if len(req.Domains) > 0 {
-		writeV1Error(w, http.StatusBadRequest, "domains requires a multi-domain server (matchd -snapshot name=path)")
-		return
-	}
-	for _, it := range items {
-		if it.Domain != "" {
-			writeV1Error(w, http.StatusBadRequest, "domain %q: domain routing requires a multi-domain server (matchd -snapshot name=path)", it.Domain)
-			return
-		}
-	}
-	writeJSON(w, V1Response{Count: len(items), Results: s.doBatch(items)})
+	return items, req.Domains, true
 }

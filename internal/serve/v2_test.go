@@ -343,41 +343,53 @@ func TestV2FederatedNoVocabularyLeak(t *testing.T) {
 
 // TestLegacyDeprecationHeaders pins the deprecation shim: the pre-v1
 // endpoints announce Deprecation/Sunset/successor, the versioned
-// endpoints do not.
+// endpoints do not — on the standalone surface and on a named registry,
+// with and without ?domain=.
 func TestLegacyDeprecationHeaders(t *testing.T) {
-	ts := httptest.NewServer(vocabServer(Config{}).Handler())
-	defer ts.Close()
+	standalone := httptest.NewServer(vocabServer(Config{}).Handler())
+	defer standalone.Close()
+	registry := httptest.NewServer(testRegistry(t, Config{}).Handler())
+	defer registry.Close()
 
-	legacy := map[string]func() *http.Response{
-		"/match": func() *http.Response {
-			r, _ := httpGet(t, ts.URL+"/match?q=indy+4")
-			return r
-		},
-		"/fuzzy": func() *http.Response {
-			r, _ := httpGet(t, ts.URL+"/fuzzy?q=indy")
-			return r
-		},
-		"/match/batch": func() *http.Response {
-			r, _ := postJSON(t, ts.URL+"/match/batch", `{"queries": ["indy 4"]}`)
-			return r
-		},
-	}
-	for path, do := range legacy {
-		resp := do()
-		if got := resp.Header.Get("Deprecation"); got != legacyDeprecation {
-			t.Errorf("%s: Deprecation = %q, want %q", path, got, legacyDeprecation)
+	for _, ts := range []struct{ name, url, param string }{
+		{"standalone", standalone.URL, ""},
+		{"registry", registry.URL, ""},
+		{"registry ?domain=", registry.URL, "&domain=movies"},
+	} {
+		legacy := map[string]func() *http.Response{
+			"/match": func() *http.Response {
+				r, _ := httpGet(t, ts.url+"/match?q=indy+4"+ts.param)
+				return r
+			},
+			"/fuzzy": func() *http.Response {
+				r, _ := httpGet(t, ts.url+"/fuzzy?q=indy"+ts.param)
+				return r
+			},
+			"/match/batch": func() *http.Response {
+				r, _ := postJSON(t, ts.url+"/match/batch?"+ts.param, `{"queries": ["indy 4"]}`)
+				return r
+			},
 		}
-		if got := resp.Header.Get("Sunset"); got != legacySunset {
-			t.Errorf("%s: Sunset = %q, want %q", path, got, legacySunset)
+		for path, do := range legacy {
+			resp := do()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s %s: status %d", ts.name, path, resp.StatusCode)
+			}
+			if got := resp.Header.Get("Deprecation"); got != legacyDeprecation {
+				t.Errorf("%s %s: Deprecation = %q, want %q", ts.name, path, got, legacyDeprecation)
+			}
+			if got := resp.Header.Get("Sunset"); got != legacySunset {
+				t.Errorf("%s %s: Sunset = %q, want %q", ts.name, path, got, legacySunset)
+			}
+			if got := resp.Header.Get("Link"); got != legacySuccessor {
+				t.Errorf("%s %s: Link = %q, want %q", ts.name, path, got, legacySuccessor)
+			}
 		}
-		if got := resp.Header.Get("Link"); got != legacySuccessor {
-			t.Errorf("%s: Link = %q, want %q", path, got, legacySuccessor)
-		}
-	}
-	for _, path := range []string{"/v1/match", "/v2/match"} {
-		resp, _ := postJSON(t, ts.URL+path, `{"query": "indy 4"}`)
-		if resp.Header.Get("Deprecation") != "" || resp.Header.Get("Sunset") != "" {
-			t.Errorf("%s stamped deprecation headers", path)
+		for _, path := range []string{"/v1/match", "/v2/match"} {
+			resp, _ := postJSON(t, ts.url+path, `{"query": "indy 4"}`)
+			if resp.Header.Get("Deprecation") != "" || resp.Header.Get("Sunset") != "" {
+				t.Errorf("%s %s stamped deprecation headers", ts.name, path)
+			}
 		}
 	}
 }
