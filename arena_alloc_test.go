@@ -10,6 +10,7 @@ package websyn
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"websyn/internal/match"
+	"websyn/internal/rng"
 )
 
 // allSnapshots mines all three corpora into serving snapshots (cached
@@ -226,13 +228,49 @@ func TestMmapColdBoot(t *testing.T) {
 	}
 }
 
-// TestMappedSnapshotServesIdentically closes the loop on the mmap path
-// end to end at the facade level: a server booted from a mapped
-// snapshot must answer exactly like one booted from the streamed read
-// of the same file, across every corpus.
+// syntheticSnapshot builds a seeded syngen-style dictionary nothing was
+// mined for: pronounceable pseudo-word titles with model codes, each
+// with a few aliases (dropped tokens, code-only, squeezed spacing), so
+// the agreement test below also covers strings and postings no curated
+// corpus contains.
+func syntheticSnapshot(seed uint64, entities int) *Snapshot {
+	r := rng.New(seed)
+	syllables := []string{"ka", "lo", "mi", "ren", "tu", "vas", "zor", "pel", "dra", "quin", "osh", "bem"}
+	word := func() string {
+		w := ""
+		for n := 2 + r.Intn(3); n > 0; n-- {
+			w += r.PickString(syllables)
+		}
+		return w
+	}
+	dict := match.NewDictionary()
+	snap := &Snapshot{Dataset: "Synthetic", MinSim: DefaultFuzzyMinSim, Synonyms: map[string][]string{}, Dict: dict}
+	for id := 0; id < entities; id++ {
+		brand, model := word(), word()
+		code := fmt.Sprintf("%s%d", string(rune('a'+r.Intn(26))), 100+r.Intn(900))
+		canonical := brand + " " + model + " " + code
+		snap.Canonicals = append(snap.Canonicals, canonical)
+		dict.Add(canonical, match.Entry{EntityID: id, Score: 1, Source: "canonical"})
+		aliases := []string{brand + " " + code, model + " " + code, brand + model}
+		for _, a := range aliases[:1+r.Intn(len(aliases))] {
+			dict.Add(a, match.Entry{EntityID: id, Score: 0.3 + 0.6*r.Float64(), Source: "mined"})
+		}
+		snap.Synonyms[canonical] = aliases
+	}
+	snap.Fuzzy = dict.NewFuzzyIndex(snap.MinSim).Packed()
+	return snap
+}
+
+// TestMappedSnapshotServesIdentically is the one-decoder property at
+// the serving level: for every mined corpus and a seeded synthetic
+// dictionary, a generation prepared from ReadSnapshotFile and one from
+// OpenSnapshotMapped of the same file answer the differential request
+// matrix (modes × TopK × explain × rewrite) with byte-identical JSON.
 func TestMappedSnapshotServesIdentically(t *testing.T) {
 	dir := t.TempDir()
-	for name, snap := range allSnapshots(t) {
+	snaps := allSnapshots(t)
+	snaps["synthetic"] = syntheticSnapshot(16, 400)
+	for name, snap := range snaps {
 		path := filepath.Join(dir, name+".snap")
 		if err := snap.WriteFile(path); err != nil {
 			t.Fatal(err)
@@ -241,29 +279,48 @@ func TestMappedSnapshotServesIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed, err := ReadSnapshotFile(path)
+		read, err := ReadSnapshotFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !mapped.Fuzzy.Mapped() || read.Fuzzy.Mapped() {
+			t.Fatalf("%s: modes crossed (mapped %v, read %v)", name, mapped.Fuzzy.Mapped(), read.Fuzzy.Mapped())
+		}
 		a := NewMatchServer(mapped, ServeConfig{CacheSize: -1})
-		b := NewMatchServer(streamed, ServeConfig{CacheSize: -1})
-		for i, q := range diffQuerySet(snap) {
-			if i%3 != 0 {
-				continue // a sample is plenty at facade level
+		b := NewMatchServer(read, ServeConfig{CacheSize: -1})
+		queries := diffQuerySet(snap)
+		if snap.Vocab != nil {
+			// Attribute phrasing for the rewrite leg: a categorical value
+			// and a numeric comparator from this domain's own vocabulary.
+			for _, c := range snap.Vocab.Categorical {
+				queries = append(queries, snap.Canonicals[0]+" "+c.Values[0])
 			}
-			for _, mode := range []match.Mode{match.ModeSegment, match.ModeSpan, match.ModeFuzzy} {
-				req := match.Request{Query: q, Mode: mode, TopK: 3}
-				ra, errA := a.Do(req)
-				rb, errB := b.Do(req)
-				if (errA == nil) != (errB == nil) {
-					t.Fatalf("%s %s %q: error divergence %v vs %v", name, mode, q, errA, errB)
-				}
-				ra.Timing, rb.Timing = match.Timing{}, match.Timing{}
-				if !reflect.DeepEqual(ra, rb) {
-					t.Fatalf("%s %s %q: mapped and streamed servers disagree:\n got %+v\nwant %+v",
-						name, mode, q, ra, rb)
+			for _, n := range snap.Vocab.Numeric {
+				queries = append(queries, fmt.Sprintf("%s under %g", snap.Canonicals[1], n.Max))
+			}
+		}
+		checked := 0
+		for _, mode := range []match.Mode{"", match.ModeSegment, match.ModeSpan, match.ModeFuzzy} {
+			for _, topK := range []int{0, 1, 3} {
+				for _, flags := range []struct{ explain, rewrite bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+					for _, q := range queries {
+						req := match.Request{Query: q, Mode: mode, TopK: topK, Explain: flags.explain, Rewrite: flags.rewrite}
+						ra, errA := a.Do(req)
+						rb, errB := b.Do(req)
+						if (errA == nil) != (errB == nil) {
+							t.Fatalf("%s %+v: error divergence %v vs %v", name, req, errA, errB)
+						}
+						ra.Timing, rb.Timing = match.Timing{}, match.Timing{}
+						ja, _ := json.Marshal(ra)
+						jb, _ := json.Marshal(rb)
+						if string(ja) != string(jb) {
+							t.Fatalf("%s %+v: mapped and read servers disagree:\n mapped %s\n read   %s", name, req, ja, jb)
+						}
+						checked++
+					}
 				}
 			}
 		}
+		t.Logf("%s: %d requests byte-identical across the two openers", name, checked)
 	}
 }

@@ -10,7 +10,11 @@ package websyn
 // both times the pipeline and reprints the paper's evaluation.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"websyn/internal/eval"
@@ -275,32 +279,10 @@ func serveQueries(b *testing.B, n int) []string {
 	return out
 }
 
-// BenchmarkServeMatch contrasts the cached and uncached single-query
-// paths of the serving layer. A skewed query mix (every query repeats)
-// makes the LRU effective, as production traffic would.
-func BenchmarkServeMatch(b *testing.B) {
-	snap := movieSnapshot(b)
-	queries := serveQueries(b, 200)
-
-	b.Run("uncached", func(b *testing.B) {
-		s := NewMatchServer(snap, ServeConfig{CacheSize: -1})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = s.Match(queries[i%len(queries)])
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		s := NewMatchServer(snap, ServeConfig{CacheSize: 4096})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = s.Match(queries[i%len(queries)])
-		}
-	})
-}
-
 // BenchmarkServeMatchParallel drives the single-query serve path from
-// all CPUs at once (b.RunParallel) over the same skewed query mix as
-// BenchmarkServeMatch. "cached" prewarms every query and then measures
+// all CPUs at once (b.RunParallel) over a skewed query mix (every query
+// repeats, as production traffic would). "cached" prewarms every query
+// and then measures
 // pure hit-path throughput under contention — the lock-striped CLOCK
 // cache takes only a shard read-lock and an atomic reference-bit store
 // per hit, so this sub-benchmark is gated at 0 allocs/op. "uncached"
@@ -378,23 +360,34 @@ func BenchmarkRegistryFederateParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkServeBatch contrasts sequential and pooled batch matching:
-// the /match/batch worker pool's throughput win on a 256-query request.
-// The cache is disabled so the benchmark measures segmentation
-// throughput, not cache hits.
+// BenchmarkServeBatch drives one 256-query POST /v1/match through the
+// handler that serves it — body decode, the batch worker pool at 1 to 8
+// workers, response encode. The cache is disabled so the benchmark
+// measures matching throughput, not cache hits.
 func BenchmarkServeBatch(b *testing.B) {
 	snap := movieSnapshot(b)
-	queries := serveQueries(b, 256)
+	items := make([]MatchRequest, 256)
+	for i, q := range serveQueries(b, len(items)) {
+		items[i] = MatchRequest{Query: q}
+	}
+	body, err := json.Marshal(map[string]any{"queries": items})
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			s := NewMatchServer(snap, ServeConfig{CacheSize: -1, BatchWorkers: workers})
+			h := NewMatchServer(snap, ServeConfig{CacheSize: -1, BatchWorkers: workers}).Handler()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = s.MatchBatch(queries)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/match", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
 			}
 			b.StopTimer()
-			qps := float64(b.N) * float64(len(queries)) / b.Elapsed().Seconds()
+			qps := float64(b.N) * float64(len(items)) / b.Elapsed().Seconds()
 			b.ReportMetric(qps, "queries/s")
 		})
 	}
@@ -443,10 +436,10 @@ func BenchmarkEngineMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotOpen contrasts the two boot paths for a serving
-// snapshot file: the streaming decode (ReadSnapshotFile) against the
-// mmap-backed open (OpenSnapshotMapped), which aliases the fuzzy
-// posting slabs in place of decoding them. The gap is the cold-boot win
+// BenchmarkSnapshotOpen contrasts the two modes of the one snapshot
+// decoder: copy (ReadSnapshotFile) against the mmap-backed alias mode
+// (OpenSnapshotMapped), which leaves the fuzzy posting slabs in the
+// mapping instead of copying them out. The gap is the cold-boot win
 // hot reload gets from -mmap; the page cache is warm here, so the delta
 // is pure decode work.
 func BenchmarkSnapshotOpen(b *testing.B) {

@@ -41,14 +41,15 @@ import (
 )
 
 // GatedBenchmarks is the default benchmark set: the latency-critical
-// serving path (whole-string fuzzy lookup, single-query match, batch
-// match, the unified engine across exact/typo/span-fuzzy queries, the
-// snapshot boot paths — streamed decode vs mmap) plus the concurrency
-// suite (parallel single-query match, parallel federation, and the
-// contended-cache microbenchmark). BenchmarkServeMatch also prefixes
-// BenchmarkServeMatchParallel, whose cached sub-benchmark carries a
-// zero-alloc baseline the gate treats as an absolute invariant.
-const GatedBenchmarks = "BenchmarkFuzzyLookup|BenchmarkServeMatch|BenchmarkServeBatch|BenchmarkEngineMatch|BenchmarkSnapshotOpen|BenchmarkRegistryFederateParallel|BenchmarkCacheContended"
+// serving path (whole-string fuzzy lookup, the unified engine across
+// exact/typo/span-fuzzy queries through Server.DoView, a 256-query
+// POST /v1/match through the handler and its batch pool, the snapshot
+// decoder in copy and mmap alias mode) plus the concurrency suite
+// (parallel single-query DoView, parallel federation, and the
+// contended-cache microbenchmark). BenchmarkServeMatchParallel's cached
+// sub-benchmark carries a zero-alloc baseline the gate treats as an
+// absolute invariant.
+const GatedBenchmarks = "BenchmarkFuzzyLookup|BenchmarkServeMatchParallel|BenchmarkServeBatch|BenchmarkEngineMatch|BenchmarkSnapshotOpen|BenchmarkRegistryFederateParallel|BenchmarkCacheContended"
 
 // GatedPackages is the default -pkg value: the root serving facade plus
 // internal/serve, home of the contended-cache microbenchmark.

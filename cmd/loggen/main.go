@@ -15,12 +15,8 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"websyn"
-	"websyn/internal/clicklog"
-	"websyn/internal/logio"
-	"websyn/internal/search"
 )
 
 func main() {
@@ -33,16 +29,10 @@ func main() {
 	)
 	flag.Parse()
 
-	var ds websyn.Dataset
-	switch strings.ToLower(*dataset) {
-	case "movies", "d1":
-		ds = websyn.Movies
-	case "cameras", "d2":
-		ds = websyn.Cameras
-	default:
-		log.Fatalf("unknown dataset %q", *dataset)
+	ds, err := websyn.ParseDataset(*dataset)
+	if err != nil {
+		log.Fatal(err)
 	}
-
 	sim, err := websyn.NewSimulation(websyn.Options{
 		Dataset: ds, Seed: *seed, Impressions: *impressions,
 	})
@@ -53,6 +43,7 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// The Save/Load pairs pick the codec by extension.
 	ext := ".tsv"
 	if *format == "bin" {
 		ext = ".bin"
@@ -60,93 +51,31 @@ func main() {
 	searchPath := filepath.Join(*dir, "search"+ext)
 	clicksPath := filepath.Join(*dir, "clicks"+ext)
 	imprPath := filepath.Join(*dir, "impressions.tsv")
-
-	if err := writeFile(searchPath, func(f *os.File) error {
-		tuples := sim.Search.Tuples()
-		if *format == "bin" {
-			return logio.WriteSearchBinary(f, tuples)
-		}
-		return logio.WriteSearchTSV(f, tuples)
-	}); err != nil {
+	if err := sim.SaveSearchData(searchPath); err != nil {
 		log.Fatal(err)
 	}
-	if err := writeFile(clicksPath, func(f *os.File) error {
-		clicks := sim.Log.Flatten()
-		if *format == "bin" {
-			return logio.WriteClicksBinary(f, clicks)
-		}
-		return logio.WriteClicksTSV(f, clicks)
-	}); err != nil {
+	if err := sim.SaveClickLog(clicksPath, imprPath); err != nil {
 		log.Fatal(err)
 	}
-	if err := writeFile(imprPath, func(f *os.File) error {
-		return logio.WriteImpressionsTSV(f, sim.Log)
-	}); err != nil {
-		log.Fatal(err)
-	}
-
+	tuples, clicks := len(sim.Search.Tuples()), len(sim.Log.Flatten())
 	fmt.Printf("wrote %s (%d tuples), %s (%d clicks), %s (%d queries)\n",
-		searchPath, len(sim.Search.Tuples()),
-		clicksPath, len(sim.Log.Flatten()),
-		imprPath, len(sim.Log.Queries()))
+		searchPath, tuples, clicksPath, clicks, imprPath, len(sim.Log.Queries()))
 
 	// Round-trip sanity check so a corrupted write fails loudly here, not
 	// in a downstream consumer.
-	if err := verify(searchPath, clicksPath, *format, sim); err != nil {
+	sd, err := websyn.LoadSearchData(searchPath, sim.Options.SurrogateK)
+	if err != nil {
 		log.Fatal(err)
 	}
+	if got := len(sd.Tuples()); got != tuples {
+		log.Fatalf("search round trip lost tuples: %d != %d", got, tuples)
+	}
+	cl, err := websyn.LoadClickLog(clicksPath, imprPath)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if got := len(cl.Flatten()); got != clicks {
+		log.Fatalf("clicks round trip lost tuples: %d != %d", got, clicks)
+	}
 	fmt.Println("round-trip verification OK")
-}
-
-func writeFile(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	return f.Close()
-}
-
-func verify(searchPath, clicksPath, format string, sim *websyn.Simulation) error {
-	sf, err := os.Open(searchPath)
-	if err != nil {
-		return err
-	}
-	defer sf.Close()
-	var tuples []search.Tuple
-	if format == "bin" {
-		tuples, err = logio.ReadSearchBinary(sf)
-	} else {
-		tuples, err = logio.ReadSearchTSV(sf)
-	}
-	if err != nil {
-		return err
-	}
-	if len(tuples) != len(sim.Search.Tuples()) {
-		return fmt.Errorf("search round trip lost tuples: %d != %d",
-			len(tuples), len(sim.Search.Tuples()))
-	}
-
-	cf, err := os.Open(clicksPath)
-	if err != nil {
-		return err
-	}
-	defer cf.Close()
-	var clicks []clicklog.Click
-	if format == "bin" {
-		clicks, err = logio.ReadClicksBinary(cf)
-	} else {
-		clicks, err = logio.ReadClicksTSV(cf)
-	}
-	if err != nil {
-		return err
-	}
-	if len(clicks) != len(sim.Log.Flatten()) {
-		return fmt.Errorf("clicks round trip lost tuples: %d != %d",
-			len(clicks), len(sim.Log.Flatten()))
-	}
-	return nil
 }

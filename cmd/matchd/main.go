@@ -170,6 +170,9 @@ func main() {
 	if *blobDir != "" && len(specs) == 0 {
 		log.Fatal("-blob-dir requires -snapshot (pulled snapshots land in the watched snapshot files)")
 	}
+	if *writeSnapshot != "" && len(specs) > 0 {
+		log.Fatal("-write-snapshot is a mine-at-startup flag and cannot be combined with -snapshot; build snapshots with cmd/dictbuild")
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -191,24 +194,8 @@ func main() {
 	var backend fleet.Backend
 	switch {
 	case multiDomain:
-		if *writeSnapshot != "" {
-			log.Fatal("-write-snapshot is a mine-at-startup flag; build per-domain snapshots with cmd/dictbuild")
-		}
 		mux, backend = boot.registry(ctx, specs, *defaultDomain, *canary)
 	case len(specs) == 1:
-		if *writeSnapshot != "" {
-			// Load + rewrite: upgrades an old-format snapshot file to the
-			// current layout version without serving.
-			snap, _, err := websyn.ReadSnapshotFileHashed(specs[0].path)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := snap.WriteFile(*writeSnapshot); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote snapshot %s", *writeSnapshot)
-			return
-		}
 		mux, backend = boot.standalone(ctx, specs[0], *canary)
 	default:
 		snap, err := mineSnapshot(*dataset, *ipc, *icr, *seed)
@@ -386,7 +373,7 @@ func (b booter) domain(spec domainSpec, canary []string, reg *websyn.Registry, p
 	}
 	t0 := time.Now()
 	// The reloader needs the booted content's SHA-256 to seed its change
-	// detection; both loaders compute it during the load.
+	// detection; both openers hash the bytes they decode.
 	snap, sha, err := loadSnapshot(spec.path, b.useMmap)
 	if err != nil {
 		log.Fatalf("%s%v", prefix, err)

@@ -36,7 +36,7 @@ func main() {
 	)
 	flag.Parse()
 
-	ds, err := parseDataset(*dataset)
+	ds, err := websyn.ParseDataset(*dataset)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -130,17 +130,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
-	}
-}
-
-func parseDataset(s string) (websyn.Dataset, error) {
-	switch strings.ToLower(s) {
-	case "movies", "d1":
-		return websyn.Movies, nil
-	case "cameras", "d2":
-		return websyn.Cameras, nil
-	default:
-		return 0, fmt.Errorf("unknown dataset %q (want movies or cameras)", s)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"websyn/internal/serve"
 )
 
 // Store is a content-addressed snapshot blob directory — the
@@ -20,9 +22,12 @@ import (
 //	<dir>/<domain>.current  — pointer file: the hex SHA a replica of
 //	                          that domain should be serving
 //
-// Blobs are immutable once written (same name ⇒ same bytes), so every
-// operation is an atomic rename and a reader can never observe a
-// half-written snapshot. Pointer flips are the only mutation.
+// Blobs are immutable once written (same name ⇒ same bytes), and every
+// file — blob, pointer, fetched spool copy — is installed by
+// serve.ReplaceFile (world-readable, fsynced, renamed into place), so a
+// reader can never observe a half-written snapshot and a replica
+// mapping its spool file is never overwritten in place. Pointer flips
+// are the only mutation.
 type Store struct {
 	Dir string
 }
@@ -58,6 +63,21 @@ func validBlobDomain(domain string) error {
 	return nil
 }
 
+// copyHashed copies src into dst and returns the hex SHA-256 of the
+// bytes copied.
+func copyHashed(dst io.Writer, src string) (string, error) {
+	in, err := os.Open(src)
+	if err != nil {
+		return "", err
+	}
+	defer in.Close()
+	h := sha256.New()
+	if _, err := io.Copy(io.MultiWriter(dst, h), in); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
 // Stage copies src into the store under its content hash and returns
 // the hex SHA-256. It does NOT move any domain pointer — a staged blob
 // is invisible to replicas until SetCurrent names it. Re-staging
@@ -66,31 +86,17 @@ func (s *Store) Stage(src string) (string, error) {
 	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
 		return "", fmt.Errorf("fleet: blob dir: %w", err)
 	}
-	in, err := os.Open(src)
+	var sha string
+	err := serve.ReplaceFile(s.Dir, func(tmp *os.File) (dest string, err error) {
+		if sha, err = copyHashed(tmp, src); err != nil {
+			return "", err
+		}
+		if _, err := os.Stat(s.blobPath(sha)); err == nil {
+			return "", nil // identical bytes already staged
+		}
+		return s.blobPath(sha), nil
+	})
 	if err != nil {
-		return "", fmt.Errorf("fleet: stage: %w", err)
-	}
-	defer in.Close()
-
-	tmp, err := os.CreateTemp(s.Dir, ".stage-*")
-	if err != nil {
-		return "", fmt.Errorf("fleet: stage: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	h := sha256.New()
-	if _, err := io.Copy(io.MultiWriter(tmp, h), in); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("fleet: stage: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("fleet: stage: %w", err)
-	}
-	sha := hex.EncodeToString(h.Sum(nil))
-	dst := s.blobPath(sha)
-	if _, err := os.Stat(dst); err == nil {
-		return sha, nil // identical bytes already staged
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
 		return "", fmt.Errorf("fleet: stage: %w", err)
 	}
 	return sha, nil
@@ -107,19 +113,11 @@ func (s *Store) SetCurrent(domain, sha string) error {
 	if _, err := os.Stat(s.blobPath(sha)); err != nil {
 		return fmt.Errorf("fleet: set current %s: blob not staged: %w", domain, err)
 	}
-	tmp, err := os.CreateTemp(s.Dir, ".current-*")
+	err := serve.ReplaceFile(s.Dir, func(tmp *os.File) (string, error) {
+		_, err := tmp.WriteString(sha + "\n")
+		return s.currentPath(domain), err
+	})
 	if err != nil {
-		return fmt.Errorf("fleet: set current: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.WriteString(sha + "\n"); err != nil {
-		tmp.Close()
-		return fmt.Errorf("fleet: set current: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("fleet: set current: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.currentPath(domain)); err != nil {
 		return fmt.Errorf("fleet: set current: %w", err)
 	}
 	return nil
@@ -166,28 +164,14 @@ func (s *Store) Fetch(sha, dest string) error {
 	if !validSHA(sha) {
 		return fmt.Errorf("fleet: bad sha %q", sha)
 	}
-	in, err := os.Open(s.blobPath(sha))
+	err := serve.ReplaceFile(filepath.Dir(dest), func(tmp *os.File) (string, error) {
+		got, err := copyHashed(tmp, s.blobPath(sha))
+		if err == nil && got != sha {
+			err = fmt.Errorf("content hash mismatch (got %.12s)", got)
+		}
+		return dest, err
+	})
 	if err != nil {
-		return fmt.Errorf("fleet: fetch %.12s: %w", sha, err)
-	}
-	defer in.Close()
-	tmp, err := os.CreateTemp(filepath.Dir(dest), ".fetch-*")
-	if err != nil {
-		return fmt.Errorf("fleet: fetch %.12s: %w", sha, err)
-	}
-	defer os.Remove(tmp.Name())
-	h := sha256.New()
-	if _, err := io.Copy(io.MultiWriter(tmp, h), in); err != nil {
-		tmp.Close()
-		return fmt.Errorf("fleet: fetch %.12s: %w", sha, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("fleet: fetch %.12s: %w", sha, err)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != sha {
-		return fmt.Errorf("fleet: fetch %.12s: content hash mismatch (got %.12s)", sha, got)
-	}
-	if err := os.Rename(tmp.Name(), dest); err != nil {
 		return fmt.Errorf("fleet: fetch %.12s: %w", sha, err)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -64,6 +65,77 @@ func TestStoreStageFetchPointer(t *testing.T) {
 	}
 	if _, err := os.Stat(dest2); !os.IsNotExist(err) {
 		t.Fatal("tampered fetch left a file at dest")
+	}
+}
+
+// TestStoreFilesAreReadableAndReplaced pins how the store installs
+// files: every blob, pointer and fetched spool copy is world-readable
+// (a replica may run as another service user than the publisher), and a
+// rewrite of an existing path — a pointer flip, a fetch over the spool
+// file a replica is serving — swaps the inode instead of writing into
+// the old file, so a process holding the old file open or mapped keeps
+// complete old bytes.
+func TestStoreFilesAreReadableAndReplaced(t *testing.T) {
+	dir := t.TempDir()
+	store := &Store{Dir: filepath.Join(dir, "blobs")}
+	stage := func(content string) string {
+		t.Helper()
+		src := filepath.Join(dir, "src.snap")
+		if err := os.WriteFile(src, []byte(content), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		sha, err := store.Stage(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sha
+	}
+	stat := func(path string) os.FileInfo {
+		t.Helper()
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode := st.Mode().Perm(); mode != 0o644 {
+			t.Errorf("%s installed with mode %o, want 644", filepath.Base(path), mode)
+		}
+		return st
+	}
+
+	shaA, shaB := stage("snapshot A"), stage("snapshot B, longer")
+	stat(store.blobPath(shaA))
+	spool := filepath.Join(dir, "spool.snap")
+	pointer := store.currentPath("movies")
+	if err := store.SetCurrent("movies", shaA); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Fetch(shaA, spool); err != nil {
+		t.Fatal(err)
+	}
+	oldPointer, oldSpool := stat(pointer), stat(spool)
+	held, err := os.Open(spool) // a reader that opened the old spool file
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+
+	if err := store.SetCurrent("movies", shaB); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Fetch(shaB, spool); err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(oldPointer, stat(pointer)) {
+		t.Error("SetCurrent rewrote the pointer file in place")
+	}
+	if os.SameFile(oldSpool, stat(spool)) {
+		t.Error("Fetch rewrote the spool file in place")
+	}
+	if got, _ := io.ReadAll(held); string(got) != "snapshot A" {
+		t.Errorf("the held old spool file now reads %q", got)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(left) > 0 {
+		t.Errorf("temporary files left behind: %v", left)
 	}
 }
 

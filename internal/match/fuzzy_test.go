@@ -1,7 +1,6 @@
 package match
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
@@ -152,53 +151,6 @@ func TestForEachOrderedAndComplete(t *testing.T) {
 	}
 	if !reflect.DeepEqual(texts, d.Strings()) {
 		t.Fatal("Strings() disagrees with ForEach")
-	}
-}
-
-func TestDictionaryTSVRoundTrip(t *testing.T) {
-	d := demoDict()
-	var buf bytes.Buffer
-	if err := d.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := ReadTSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Len() != d.Len() {
-		t.Fatalf("round trip size %d != %d", d2.Len(), d.Len())
-	}
-	for _, s := range d.Strings() {
-		a, b := d.Lookup(s), d2.Lookup(s)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("entries differ for %q: %v vs %v", s, a, b)
-		}
-	}
-	// Segmentation behaviour must survive the round trip.
-	segA := d.Segment("indy 4 near san fran")
-	segB := d2.Segment("indy 4 near san fran")
-	if !reflect.DeepEqual(segA.Matches, segB.Matches) {
-		t.Fatal("segmentation differs after round trip")
-	}
-}
-
-func TestReadTSVRejectsMalformed(t *testing.T) {
-	for _, in := range []string{
-		"too\tfew\tfields\n",
-		"text\tNaN\t0.5\tsrc\n",
-		"text\t1\tnotafloat\tsrc\n",
-	} {
-		if _, err := ReadTSV(bytes.NewBufferString(in)); err == nil {
-			t.Errorf("malformed input %q accepted", in)
-		}
-	}
-}
-
-func TestWriteTSVRejectsTabInSource(t *testing.T) {
-	d := NewDictionary()
-	d.Add("x y", Entry{EntityID: 1, Score: 1, Source: "bad\tsource"})
-	if err := d.WriteTSV(&bytes.Buffer{}); err == nil {
-		t.Fatal("tab in source accepted")
 	}
 }
 

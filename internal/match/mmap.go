@@ -7,12 +7,12 @@ import (
 	"unsafe"
 )
 
-// Raw packed fuzzy-index layout (snapshot format version 3). Unlike the
-// uvarint/delta stream WriteBinary emits, this layout stores the posting
-// slabs as fixed-width little-endian arrays at controlled alignment, so
-// a reader holding the serialized bytes in memory — a memory-mapped
-// snapshot file — can alias them in place with zero copying and zero
-// decode work. Boot cost becomes O(grams) for the gram table instead of
+// Raw packed fuzzy-index layout — the one serialized form of a
+// PackedFuzzy, embedded in the serve snapshot. The posting slabs are
+// fixed-width little-endian arrays at controlled alignment, so a reader
+// holding the serialized bytes in memory — a memory-mapped snapshot
+// file — can alias them in place with zero copying and zero decode
+// work. Boot cost is O(grams) for the gram table instead of
 // O(postings), and the slab pages stay shared, clean and evictable in
 // the OS page cache across every process serving the same snapshot.
 //
@@ -35,9 +35,13 @@ import (
 // 64-bit slabs and is what mmap page bases guarantee.
 const rawAlign = 8
 
-// maxPackedPostings bounds the posting count read from a file; a larger
-// prefix means a corrupt file and must not drive an allocation.
-const maxPackedPostings = 1 << 28
+// maxPackedGrams and maxPackedPostings bound the counts read from a
+// file; a larger prefix means a corrupt file and must not drive an
+// allocation.
+const (
+	maxPackedGrams    = 1 << 26
+	maxPackedPostings = 1 << 28
+)
 
 // rawPad returns the number of zero bytes needed to advance off to the
 // next rawAlign boundary.
@@ -152,8 +156,8 @@ func checkRawOffsets(offsets []int32, numPostings uint64) error {
 }
 
 // gramsFromTable materializes the gram string table given the cumulative
-// end offsets and the blob. str builds each string: the mapped path
-// passes a zero-copy unsafe view, the stream path passes string().
+// end offsets and the blob. str builds each string: a zero-copy unsafe
+// view when aliasing, string() when copying.
 func gramsFromTable(ends []int32, blob []byte, str func([]byte) string) ([]string, error) {
 	grams := make([]string, len(ends))
 	prev := uint32(0)
@@ -171,13 +175,16 @@ func gramsFromTable(ends []int32, blob []byte, str func([]byte) string) ([]strin
 	return grams, nil
 }
 
-// MapPackedFuzzy builds a PackedFuzzy whose slabs alias data in place —
-// zero copies, zero per-posting decode work. data is the whole
-// serialized file (typically memory-mapped) and off the absolute offset
-// of the raw section written by WriteRaw. pin, retained on the returned
-// index and everything built from it, keeps data's owner (the mmap
-// handle) alive as long as any alias does; Mapped() reports pin != nil.
-// The second result is the offset of the first byte past the section.
+// MapPackedFuzzy decodes the raw section WriteRaw wrote at absolute
+// offset off of data, the whole serialized file. It is the only reader
+// of the layout and has two modes. With a pin — the owner of data,
+// typically an mmap handle — the slabs alias data in place: zero
+// copies, zero per-posting decode work, and the pin is retained on the
+// returned index and everything built from it, so the owner outlives
+// every alias (Mapped() reports it). With a nil pin everything is
+// copied to the heap and data may be dropped as soon as the call
+// returns. The second result is the offset of the first byte past the
+// section.
 //
 // Every structural property that keeps later loops in bounds is checked
 // here, because data may be an arbitrary corrupt file; the checks are
@@ -290,76 +297,3 @@ var hostLittleEndian = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
-
-// ReadPackedFuzzyRaw loads a raw-layout packed index from a stream into
-// heap slices — the non-mmap path through a version 3 snapshot. off is
-// the absolute stream offset of the section start (for the alignment
-// padding); the reader consumes exactly the section.
-func ReadPackedFuzzyRaw(r io.Reader, off int64) (*PackedFuzzy, error) {
-	var scratch [rawAlign]byte
-	if pad := rawPad(off); pad > 0 {
-		if _, err := io.ReadFull(r, scratch[:pad]); err != nil {
-			return nil, fmt.Errorf("match: reading raw packed padding: %w", err)
-		}
-	}
-	var hdr [16]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("match: reading raw packed header: %w", err)
-	}
-	numStrings, numGrams, numPostings, err := rawHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	ends, err := readU32Slab(r, numGrams)
-	if err != nil {
-		return nil, fmt.Errorf("match: reading raw packed gram table: %w", err)
-	}
-	blobLen := uint64(0)
-	if numGrams > 0 {
-		blobLen = uint64(uint32(ends[numGrams-1]))
-	}
-	if blobLen > 64*numGrams {
-		return nil, fmt.Errorf("match: raw packed gram blob length %d exceeds limit", blobLen)
-	}
-	blob := make([]byte, blobLen+(4-blobLen%4)%4)
-	if _, err := io.ReadFull(r, blob); err != nil {
-		return nil, fmt.Errorf("match: reading raw packed gram blob: %w", err)
-	}
-	grams, err := gramsFromTable(ends, blob[:blobLen], func(b []byte) string { return string(b) })
-	if err != nil {
-		return nil, err
-	}
-	p := &PackedFuzzy{NumStrings: int(numStrings), Grams: grams}
-	if p.Offsets, err = readU32Slab(r, numGrams+1); err != nil {
-		return nil, fmt.Errorf("match: reading raw packed offsets: %w", err)
-	}
-	if err := checkRawOffsets(p.Offsets, numPostings); err != nil {
-		return nil, err
-	}
-	if p.Postings, err = readU32Slab(r, numPostings); err != nil {
-		return nil, fmt.Errorf("match: reading raw packed postings: %w", err)
-	}
-	if p.Mults, err = readU32Slab(r, numPostings); err != nil {
-		return nil, fmt.Errorf("match: reading raw packed multiplicities: %w", err)
-	}
-	return p, nil
-}
-
-// readU32Slab reads n little-endian uint32s in bounded chunks, so a
-// corrupt count on a truncated stream fails fast instead of driving one
-// huge up-front allocation.
-func readU32Slab(r io.Reader, n uint64) ([]int32, error) {
-	out := make([]int32, 0, min(n, 1<<20))
-	var buf [1 << 14]byte
-	for n > 0 {
-		c := min(n, uint64(len(buf))/4)
-		if _, err := io.ReadFull(r, buf[:4*c]); err != nil {
-			return nil, err
-		}
-		for i := uint64(0); i < c; i++ {
-			out = append(out, int32(binary.LittleEndian.Uint32(buf[4*i:])))
-		}
-		n -= c
-	}
-	return out, nil
-}

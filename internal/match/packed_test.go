@@ -126,31 +126,61 @@ func TestPackedMatchesLegacyOnDemoDict(t *testing.T) {
 
 // ---- Packed round trip ----
 
+// rawRoundTrip serializes p with WriteRaw behind a 5-byte prefix (so the
+// alignment padding is exercised) and decodes it back with
+// MapPackedFuzzy: copy mode with a nil pin, alias mode otherwise.
+func rawRoundTrip(tb testing.TB, p *PackedFuzzy, pin any) (*PackedFuzzy, []byte) {
+	tb.Helper()
+	const prefix = 5
+	buf := bytes.NewBuffer(make([]byte, prefix, 1<<12))
+	if err := p.WriteRaw(buf, prefix); err != nil {
+		tb.Fatal(err)
+	}
+	got, end, err := MapPackedFuzzy(buf.Bytes(), prefix, pin)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if end != int64(buf.Len()) {
+		tb.Fatalf("section ends at %d, wrote %d bytes", end, buf.Len())
+	}
+	return got, buf.Bytes()
+}
+
+// TestPackedBinaryRoundTrip pins the one packed codec in both of its
+// modes: WriteRaw then MapPackedFuzzy returns the same slabs whether
+// they are copied out (nil pin) or aliased in place (pinned), and an
+// index rebuilt from either answers like the original.
 func TestPackedBinaryRoundTrip(t *testing.T) {
 	d := demoDict()
 	fi := d.NewFuzzyIndex(0.55)
 	p := fi.Packed()
 
-	var buf bytes.Buffer
-	if err := p.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadPackedFuzzy(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, p) {
-		t.Fatalf("packed round trip diverged:\n got %+v\nwant %+v", got, p)
-	}
-
-	flat, err := d.NewFuzzyIndexFromPacked(got, 0.55)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range packedDiffQueries {
-		want := fi.Lookup(q, 0)
-		if g := flat.Lookup(q, 0); !reflect.DeepEqual(g, want) {
-			t.Errorf("flat-from-packed Lookup(%q) = %+v, want %+v", q, g, want)
+	for _, mode := range []string{"copy", "alias"} {
+		var pin any
+		if mode == "alias" {
+			pin = new(int)
+		}
+		got, raw := rawRoundTrip(t, p, pin)
+		if got.Mapped() != (mode == "alias") {
+			t.Errorf("%s: Mapped() = %v", mode, got.Mapped())
+		}
+		if got.NumStrings != p.NumStrings || !reflect.DeepEqual(got.Grams, p.Grams) ||
+			!reflect.DeepEqual(got.Offsets, p.Offsets) || !reflect.DeepEqual(got.Postings, p.Postings) ||
+			!reflect.DeepEqual(got.Mults, p.Mults) {
+			t.Fatalf("%s: packed round trip diverged:\n got %+v\nwant %+v", mode, got, p)
+		}
+		flat, err := d.NewFuzzyIndexFromPacked(got, 0.55)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode == "copy" {
+			clear(raw) // a copy must not notice its source bytes going away
+		}
+		for _, q := range packedDiffQueries {
+			want := fi.Lookup(q, 0)
+			if g := flat.Lookup(q, 0); !reflect.DeepEqual(g, want) {
+				t.Errorf("%s: flat-from-packed Lookup(%q) = %+v, want %+v", mode, q, g, want)
+			}
 		}
 	}
 }
@@ -182,15 +212,13 @@ func TestPackedRejectsBadData(t *testing.T) {
 			t.Errorf("%s: loader accepted corrupt packed data", name)
 		}
 	}
-	// Truncated byte streams must error, not panic.
-	var buf bytes.Buffer
-	if err := good.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	for _, n := range []int{0, 1, len(raw) / 2, len(raw) - 1} {
-		if _, err := ReadPackedFuzzy(bytes.NewReader(raw[:n])); err == nil {
-			t.Errorf("truncation at %d bytes accepted", n)
+	// Truncated sections must error, not panic, in both modes.
+	_, raw := rawRoundTrip(t, good, nil)
+	for _, n := range []int{0, 5, 12, len(raw) / 2, len(raw) - 1} {
+		for _, pin := range []any{nil, new(int)} {
+			if _, _, err := MapPackedFuzzy(raw[:n], 5, pin); err == nil {
+				t.Errorf("truncation at %d bytes accepted (pin %v)", n, pin != nil)
+			}
 		}
 	}
 }
@@ -270,7 +298,7 @@ var fuzzFixture struct {
 	once   sync.Once
 	legacy *legacyFuzzy
 	flat   *FuzzyIndex
-	packed *FuzzyIndex // flat index rebuilt through the binary codec
+	packed *FuzzyIndex // flat index rebuilt through WriteRaw / MapPackedFuzzy
 }
 
 func fuzzIndexes(tb testing.TB) (*legacyFuzzy, *FuzzyIndex, *FuzzyIndex) {
@@ -298,14 +326,8 @@ func fuzzIndexes(tb testing.TB) (*legacyFuzzy, *FuzzyIndex, *FuzzyIndex) {
 		const minSim = 0.55
 		fuzzFixture.legacy = newLegacyFuzzy(d, minSim)
 		fuzzFixture.flat = d.NewFuzzyIndex(minSim)
-		var buf bytes.Buffer
-		if err := fuzzFixture.flat.Packed().WriteBinary(&buf); err != nil {
-			tb.Fatal(err)
-		}
-		p, err := ReadPackedFuzzy(&buf)
-		if err != nil {
-			tb.Fatal(err)
-		}
+		p, _ := rawRoundTrip(tb, fuzzFixture.flat.Packed(), nil)
+		var err error
 		fuzzFixture.packed, err = d.NewFuzzyIndexFromPacked(p, minSim)
 		if err != nil {
 			tb.Fatal(err)

@@ -53,13 +53,13 @@ func legacyMatchResult(res match.Response, cached bool) MatchResult {
 	return out
 }
 
-// Match segments one query against the dictionary in the legacy
+// legacyMatch segments one query against the dictionary in the legacy
 // (segmentation-only) mode, consulting the request cache first.
-func (s *Server) Match(query string) MatchResult {
+func (s *Server) legacyMatch(query string) MatchResult {
 	return s.matchGen(s.gen.Load(), query)
 }
 
-// matchGen is Match pinned to one generation (see doGen).
+// matchGen is legacyMatch pinned to one generation (see doGen).
 func (s *Server) matchGen(g *generation, query string) MatchResult {
 	res, cached, err := s.doGen(g, match.Request{Query: query, Mode: match.ModeSegment, TopK: 1})
 	if err != nil {
@@ -70,10 +70,10 @@ func (s *Server) matchGen(g *generation, query string) MatchResult {
 	return legacyMatchResult(res, cached)
 }
 
-// MatchBatch segments many queries with a bounded worker pool, returning
+// legacyBatch segments many queries with a bounded worker pool, returning
 // results in input order. The whole batch runs against one generation:
 // a hot reload mid-batch cannot mix dictionaries within one response.
-func (s *Server) MatchBatch(queries []string) []MatchResult {
+func (s *Server) legacyBatch(queries []string) []MatchResult {
 	g := s.gen.Load()
 	out := make([]MatchResult, len(queries))
 	runPool(s.reg.cfg.BatchWorkers, len(queries), func(i int) {
@@ -90,7 +90,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.matchReqs.Add(1)
 	t0 := time.Now()
-	res := s.Match(q)
+	res := s.legacyMatch(q)
 	s.matchLat.observe(time.Since(t0))
 	writeJSON(w, res)
 }
@@ -131,7 +131,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.batchReqs.Add(1)
 	s.batchQueries.Add(uint64(len(req.Queries)))
 	t0 := time.Now()
-	results := s.MatchBatch(req.Queries)
+	results := s.legacyBatch(req.Queries)
 	s.batchLat.observe(time.Since(t0))
 	writeJSON(w, BatchResponse{Count: len(results), Results: results})
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -40,16 +39,12 @@ func testCameraSnapshot(tag string) *serve.Snapshot {
 // matchd's multi-domain boot does.
 func bootDomain(t *testing.T, reg *serve.Registry, group *Group, name, path string, snap *serve.Snapshot) *Reloader {
 	t.Helper()
-	writeSnapshotVersion(t, snap, path, serve.SnapshotVersion)
-	data, err := os.ReadFile(path)
+	writeSnapshot(t, snap, path)
+	loaded, sha, err := serve.ReadSnapshotFileHashed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := serve.ReadSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := reg.Add(name, loaded, serve.SnapshotMeta{Path: path, SHA256: shaHex(data)})
+	srv, err := reg.Add(name, loaded, serve.SnapshotMeta{Path: path, SHA256: sha})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +95,7 @@ func TestGroupAdminSurface(t *testing.T) {
 	}
 
 	// A movies publish swaps movies and only movies.
-	writeSnapshotVersion(t, testSnapshot("movies gen two"), moviesPath, serve.SnapshotVersion)
+	writeSnapshot(t, testSnapshot("movies gen two"), moviesPath)
 	resp, err = http.Post(ts.URL+"/admin/reload?domain=movies", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -162,20 +157,16 @@ func TestGroupRunPollsAllDomains(t *testing.T) {
 	camerasPath := filepath.Join(dir, "cameras.snap")
 
 	// Build reloaders with polling enabled (bootDomain's are poll-less).
-	writeSnapshotVersion(t, testSnapshot(""), moviesPath, serve.SnapshotVersion)
-	writeSnapshotVersion(t, testCameraSnapshot(""), camerasPath, serve.SnapshotVersion)
+	writeSnapshot(t, testSnapshot(""), moviesPath)
+	writeSnapshot(t, testCameraSnapshot(""), camerasPath)
 	for _, d := range []struct {
 		name, path string
 	}{{"movies", moviesPath}, {"cameras", camerasPath}} {
-		data, err := os.ReadFile(d.path)
+		snap, sha, err := serve.ReadSnapshotFileHashed(d.path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, err := serve.ReadSnapshotFile(d.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := reg.Add(d.name, snap, serve.SnapshotMeta{Path: d.path, SHA256: shaHex(data)})
+		srv, err := reg.Add(d.name, snap, serve.SnapshotMeta{Path: d.path, SHA256: sha})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,8 +184,8 @@ func TestGroupRunPollsAllDomains(t *testing.T) {
 	done := make(chan struct{})
 	go func() { defer close(done); group.Run(ctx) }()
 
-	writeSnapshotVersion(t, testSnapshot("movies polled"), moviesPath, serve.SnapshotVersion)
-	writeSnapshotVersion(t, testCameraSnapshot("cameras polled"), camerasPath, serve.SnapshotVersion)
+	writeSnapshot(t, testSnapshot("movies polled"), moviesPath)
+	writeSnapshot(t, testCameraSnapshot("cameras polled"), camerasPath)
 
 	moviesSrv, _ := reg.Domain("movies")
 	camerasSrv, _ := reg.Domain("cameras")
@@ -275,7 +266,7 @@ func TestMultiDomainReloadUnderLoad(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	const swaps = 5
 	for i := 1; i <= swaps; i++ {
-		writeSnapshotVersion(t, testSnapshot(fmt.Sprintf("movies swap %d", i)), moviesPath, serve.SnapshotVersion)
+		writeSnapshot(t, testSnapshot(fmt.Sprintf("movies swap %d", i)), moviesPath)
 		swapped, err := moviesReloader.Reload(false)
 		if err != nil || !swapped {
 			t.Fatalf("movies swap %d: swapped %v, err %v", i, swapped, err)

@@ -22,12 +22,9 @@ package reload
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -58,7 +55,7 @@ type Config struct {
 	CanarySample int
 	// BootSHA is the hex SHA-256 of the snapshot the server booted on,
 	// when the caller already computed it (matchd hashes the file while
-	// loading). Set, it saves New a second full read of Path.
+	// loading). Set, it overrides the server's generation meta.
 	BootSHA string
 	// Mmap loads reloaded snapshots with serve.OpenSnapshotMapped, so a
 	// new generation's fuzzy index aliases the file's pages instead of
@@ -233,22 +230,21 @@ func (r *Reloader) reload(force, skipStat bool) (swapped bool, err error) {
 		}
 	}
 	r.statSkips = 0
-	// Hash by streaming — never the whole file in memory: during a swap
-	// the process already holds the old and the new generation.
-	sha, err := hashFile(r.cfg.Path)
-	if err != nil {
-		return false, r.fail(fmt.Errorf("read snapshot: %w", err))
+	// One open per check: the bytes that are hashed are the bytes that
+	// are parsed, so a publisher renaming a new file into place mid-check
+	// cannot pair one file's hash with another's content.
+	snap, sha, err := serve.LoadSnapshotFile(r.cfg.Path, r.cfg.Mmap, func(sha string) bool {
+		// Identical bytes (a no-op re-publish), or the same bad bytes we
+		// already rejected (the original rejection stays on LastError):
+		// stop at the hash — no parse, no rebuild — until the file
+		// changes or the caller forces.
+		return force || (sha != r.lastSHA && sha != r.rejectedSHA)
+	})
+	if sha == "" { // the file could not be opened
+		return false, r.fail(err)
 	}
-	if !force && sha == r.lastSHA {
-		// Rewritten with identical bytes (e.g. a no-op re-publish):
-		// refresh the stat memo, keep the current generation.
-		r.lastMod, r.lastSize = st.ModTime(), st.Size()
-		return false, nil
-	}
-	if !force && sha == r.rejectedSHA {
-		// The same bad bytes we already rejected: skip the re-parse and
-		// rebuild (the original rejection stays on LastError) until the
-		// file changes or the caller forces.
+	if snap == nil && err == nil {
+		// Not worth decoding: refresh the stat memo, keep the generation.
 		r.lastMod, r.lastSize = st.ModTime(), st.Size()
 		return false, nil
 	}
@@ -259,19 +255,8 @@ func (r *Reloader) reload(force, skipStat bool) (swapped bool, err error) {
 		r.lastMod, r.lastSize, r.rejectedSHA = st.ModTime(), st.Size(), sha
 		return false, r.fail(err)
 	}
-	// Second pass parses (streaming again, or via the mapping) and
-	// re-hashes; a mismatch means the file was replaced mid-reload —
-	// reject, and the next check sees the new bytes as a fresh change.
-	readHashed := serve.ReadSnapshotFileHashed
-	if r.cfg.Mmap {
-		readHashed = serve.OpenSnapshotMappedHashed
-	}
-	snap, parsedSHA, err := readHashed(r.cfg.Path)
 	if err != nil {
 		return reject(err)
-	}
-	if parsedSHA != sha {
-		return reject(fmt.Errorf("snapshot changed while reloading (sha %.12s -> %.12s)", sha, parsedSHA))
 	}
 	gen, err := r.srv.Prepare(snap, serve.SnapshotMeta{Path: r.cfg.Path, SHA256: sha})
 	if err != nil {
@@ -418,24 +403,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	if err := enc.Encode(v); err != nil {
 		log.Printf("reload: encoding response: %v", err)
 	}
-}
-
-// shaHex is the hex SHA-256 of b.
-func shaHex(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// hashFile streams the file through SHA-256 without buffering it.
-func hashFile(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -25,7 +25,7 @@ import (
 // reloader publishes new generations.
 func TestReloadUnderSustainedLoad(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dict.snap")
-	srv, r := bootServer(t, path, serve.SnapshotVersion)
+	srv, r := bootServer(t, path)
 
 	mux := http.NewServeMux()
 	srv.Mount(mux)
@@ -62,11 +62,11 @@ func TestReloadUnderSustainedLoad(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	const swaps = 10
 	for i := 1; i <= swaps; i++ {
-		version := byte(serve.SnapshotVersion)
+		snap := testSnapshot(fmt.Sprintf("swap %d", i))
 		if i%2 == 1 {
-			version = 1
+			snap.Fuzzy = nil // alternate embedded and rebuilt fuzzy indexes
 		}
-		writeSnapshotVersion(t, testSnapshot(fmt.Sprintf("swap %d", i)), path, version)
+		writeSnapshot(t, snap, path)
 		swapped, err := r.Reload(false)
 		if err != nil || !swapped {
 			t.Fatalf("swap %d: swapped %v, err %v", i, swapped, err)

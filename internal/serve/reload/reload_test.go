@@ -1,7 +1,6 @@
 package reload
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -49,19 +48,11 @@ func testSnapshot(tag string) *serve.Snapshot {
 // coarse timestamp granularity (tests land writes milliseconds apart).
 var mtimeSeq atomic.Int64
 
-// writeSnapshotVersion serializes snap at the given layout version via
-// the atomic temp-file + rename path WriteFile uses.
-func writeSnapshotVersion(t *testing.T, snap *serve.Snapshot, path string, version byte) {
+// writeSnapshot publishes snap at path the way every in-repo writer
+// does: WriteFile's temp-file + rename.
+func writeSnapshot(t *testing.T, snap *serve.Snapshot, path string) {
 	t.Helper()
-	var buf bytes.Buffer
-	if _, err := snap.WriteToVersion(&buf, version); err != nil {
-		t.Fatal(err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := snap.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
 	mt := time.Now().Add(time.Duration(mtimeSeq.Add(1)) * time.Second)
@@ -70,23 +61,19 @@ func writeSnapshotVersion(t *testing.T, snap *serve.Snapshot, path string, versi
 	}
 }
 
-// bootServer writes the snapshot to path at the given version and boots
-// a server plus reloader on it, the way matchd does: the boot
-// provenance (path + content hash) rides on the first generation, and
-// the reloader picks its memo up from there.
-func bootServer(t *testing.T, path string, version byte) (*serve.Server, *Reloader) {
+// bootServer writes the snapshot to path and boots a server plus
+// reloader on it, the way matchd does: the boot provenance (path +
+// content hash) rides on the first generation, and the reloader picks
+// its memo up from there.
+func bootServer(t *testing.T, path string) (*serve.Server, *Reloader) {
 	t.Helper()
-	writeSnapshotVersion(t, testSnapshot(""), path, version)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := serve.ReadSnapshot(bytes.NewReader(data))
+	writeSnapshot(t, testSnapshot(""), path)
+	snap, sha, err := serve.ReadSnapshotFileHashed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := serve.NewServerWithMeta(snap, serve.Config{CacheSize: 64},
-		serve.SnapshotMeta{Path: path, SHA256: shaHex(data)})
+		serve.SnapshotMeta{Path: path, SHA256: sha})
 	r, err := New(srv, Config{Path: path, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
@@ -105,12 +92,14 @@ func mustMatch(t *testing.T, srv *serve.Server, query string, entity int) {
 	}
 }
 
-// TestCrossgradeReloads swaps a live server v2 -> v1 -> v2: both
-// directions must install cleanly, with the version visible on
-// /admin/snapshot and queries served throughout.
+// TestCrossgradeReloads swaps a live server across three snapshots with
+// different bytes, once by Reload and once through the admin endpoint:
+// each must install cleanly, with generation, swaps and the layout
+// version visible on /statsz and /admin/snapshot and queries served
+// throughout.
 func TestCrossgradeReloads(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dict.snap")
-	srv, r := bootServer(t, path, serve.SnapshotVersion)
+	srv, r := bootServer(t, path)
 
 	mux := http.NewServeMux()
 	srv.Mount(mux)
@@ -123,21 +112,23 @@ func TestCrossgradeReloads(t *testing.T) {
 	}
 	mustMatch(t, srv, "indy 4 tickets", 0)
 
-	// Downgrade: a version 1 file (no fuzzy section) replaces the v2
-	// snapshot on a live server.
-	writeSnapshotVersion(t, testSnapshot("gen two"), path, 1)
+	// A snapshot without a fuzzy section (servers rebuild the index)
+	// replaces the booted one on a live server.
+	bare := testSnapshot("gen two")
+	bare.Fuzzy = nil
+	writeSnapshot(t, bare, path)
 	if swapped, err := r.Reload(false); err != nil || !swapped {
-		t.Fatalf("v2 -> v1 reload: swapped %v, err %v", swapped, err)
+		t.Fatalf("first reload: swapped %v, err %v", swapped, err)
 	}
-	if st := srv.Stats(); st.Generation != 2 || st.Swaps != 1 || st.SnapshotVersion != 1 {
-		t.Fatalf("after v1 install: generation %d swaps %d version %d",
+	if st := srv.Stats(); st.Generation != 2 || st.Swaps != 1 || st.SnapshotVersion != serve.SnapshotVersion {
+		t.Fatalf("after first install: generation %d swaps %d version %d",
 			st.Generation, st.Swaps, st.SnapshotVersion)
 	}
 	mustMatch(t, srv, "gen two", 0) // the new dictionary is live
 	mustMatch(t, srv, "madagascar 2 dvd", 1)
 
-	// Upgrade back to v2 via the admin endpoint.
-	writeSnapshotVersion(t, testSnapshot("gen three"), path, serve.SnapshotVersion)
+	// And back to a full snapshot via the admin endpoint.
+	writeSnapshot(t, testSnapshot("gen three"), path)
 	resp, err := http.Post(ts.URL+"/admin/reload", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +166,7 @@ func TestCrossgradeReloads(t *testing.T) {
 // error on the status endpoint.
 func TestCorruptSnapshotRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dict.snap")
-	srv, r := bootServer(t, path, serve.SnapshotVersion)
+	srv, r := bootServer(t, path)
 
 	mux := http.NewServeMux()
 	srv.Mount(mux)
@@ -233,7 +224,7 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 	}
 
 	// A good snapshot recovers, and the recorded error clears.
-	writeSnapshotVersion(t, testSnapshot("recovered"), path, serve.SnapshotVersion)
+	writeSnapshot(t, testSnapshot("recovered"), path)
 	if swapped, err := r.Reload(false); err != nil || !swapped {
 		t.Fatalf("recovery reload: swapped %v, err %v", swapped, err)
 	}
@@ -254,11 +245,11 @@ func flipByte(data []byte, i int) []byte {
 // fine, so only canary validation can catch it.
 func TestCanaryRejectsBrokenSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dict.snap")
-	srv, r := bootServer(t, path, serve.SnapshotVersion)
+	srv, r := bootServer(t, path)
 
 	bad := testSnapshot("broken")
 	bad.Canonicals = append(bad.Canonicals, "Some Movie Missing From The Dictionary")
-	writeSnapshotVersion(t, bad, path, serve.SnapshotVersion)
+	writeSnapshot(t, bad, path)
 
 	swapped, err := r.Reload(false)
 	if err == nil || swapped {
@@ -297,7 +288,7 @@ func TestCanaryRejectsBrokenSnapshot(t *testing.T) {
 		Dict:       d,
 		Fuzzy:      d.NewFuzzyIndex(0.55).Packed(),
 	}
-	writeSnapshotVersion(t, noIndy, path, serve.SnapshotVersion)
+	writeSnapshot(t, noIndy, path)
 	if swapped, err := r2.Reload(false); err == nil || swapped {
 		t.Fatalf("explicit canary accepted a snapshot missing its entity: swapped %v, err %v", swapped, err)
 	}
@@ -311,7 +302,7 @@ func TestCanaryRejectsBrokenSnapshot(t *testing.T) {
 // snapshot on exactly the answers traffic will get.
 func TestCanarySeesWhatServes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dict.snap")
-	srv, _ := bootServer(t, path, serve.SnapshotVersion)
+	srv, _ := bootServer(t, path)
 	queries := []string{"indy 4 near san fran", "madagascr 2 dvd", "madagascar2 showtimes"}
 	r, err := New(srv, Config{Path: path, Canary: queries, Logf: t.Logf})
 	if err != nil {
@@ -359,14 +350,14 @@ func TestCanarySeesWhatServes(t *testing.T) {
 // no-op; rewritten identical bytes -> no-op; force -> reinstall.
 func TestUnchangedFileSkipsSwap(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dict.snap")
-	srv, r := bootServer(t, path, serve.SnapshotVersion)
+	srv, r := bootServer(t, path)
 
 	if swapped, err := r.Reload(false); err != nil || swapped {
 		t.Fatalf("unchanged file: swapped %v, err %v", swapped, err)
 	}
 
 	// Same bytes, fresh mtime: the SHA memo must suppress the rebuild.
-	writeSnapshotVersion(t, testSnapshot(""), path, serve.SnapshotVersion)
+	writeSnapshot(t, testSnapshot(""), path)
 	future := time.Now().Add(time.Hour)
 	if err := os.Chtimes(path, future, future); err != nil {
 		t.Fatal(err)
@@ -389,13 +380,8 @@ func TestUnchangedFileSkipsSwap(t *testing.T) {
 // is still detected and installed on the first check.
 func TestBootSHAMemo(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dict.snap")
-	writeSnapshotVersion(t, testSnapshot(""), path, serve.SnapshotVersion)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bootSHA := shaHex(data)
-	snap, err := serve.ReadSnapshotFile(path)
+	writeSnapshot(t, testSnapshot(""), path)
+	snap, bootSHA, err := serve.ReadSnapshotFileHashed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +399,7 @@ func TestBootSHAMemo(t *testing.T) {
 	// Publisher raced the boot: a new file landed before New ran. The
 	// stale boot hash must not mask it.
 	srv2 := serve.NewServer(snap, serve.Config{})
-	writeSnapshotVersion(t, testSnapshot("raced boot"), path, serve.SnapshotVersion)
+	writeSnapshot(t, testSnapshot("raced boot"), path)
 	r2, err := New(srv2, Config{Path: path, BootSHA: bootSHA, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
@@ -433,17 +419,13 @@ func TestStatPreservingPublishIsEventuallySeen(t *testing.T) {
 
 	// Boot on a tagged snapshot so the replacement — same tag length,
 	// same trigram shape — serializes to the same byte count.
-	writeSnapshotVersion(t, testSnapshot("tag aaa1"), path, serve.SnapshotVersion)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := serve.ReadSnapshot(bytes.NewReader(data))
+	writeSnapshot(t, testSnapshot("tag aaa1"), path)
+	snap, sha, err := serve.ReadSnapshotFileHashed(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := serve.NewServerWithMeta(snap, serve.Config{},
-		serve.SnapshotMeta{Path: path, SHA256: shaHex(data)})
+		serve.SnapshotMeta{Path: path, SHA256: sha})
 	r, err := New(srv, Config{Path: path, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
@@ -459,7 +441,7 @@ func TestStatPreservingPublishIsEventuallySeen(t *testing.T) {
 	}
 
 	// Restoring the old mtime makes the publish stat-invisible.
-	writeSnapshotVersion(t, testSnapshot("tag aaa2"), path, serve.SnapshotVersion)
+	writeSnapshot(t, testSnapshot("tag aaa2"), path)
 	if err := os.Chtimes(path, before.ModTime(), before.ModTime()); err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +476,7 @@ func TestStatPreservingPublishIsEventuallySeen(t *testing.T) {
 // snapshot under it.
 func TestPollerPicksUpNewSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dict.snap")
-	srv, _ := bootServer(t, path, serve.SnapshotVersion)
+	srv, _ := bootServer(t, path)
 	r, err := New(srv, Config{Path: path, Interval: 5 * time.Millisecond, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
@@ -505,7 +487,7 @@ func TestPollerPicksUpNewSnapshot(t *testing.T) {
 	done := make(chan struct{})
 	go func() { defer close(done); r.Run(ctx) }()
 
-	writeSnapshotVersion(t, testSnapshot("polled in"), path, serve.SnapshotVersion)
+	writeSnapshot(t, testSnapshot("polled in"), path)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if _, swaps := srv.Generation(); swaps == 1 {

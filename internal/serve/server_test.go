@@ -21,14 +21,14 @@ func testServer(cfg Config) *Server {
 
 func TestMatchUsesCache(t *testing.T) {
 	s := testServer(Config{CacheSize: 16})
-	first := s.Match("indy 4 showtimes")
+	first := s.legacyMatch("indy 4 showtimes")
 	if first.Cached {
 		t.Fatal("first request claimed a cache hit")
 	}
 	if len(first.Matches) == 0 || first.Matches[0].EntityID != 0 {
 		t.Fatalf("unexpected match: %+v", first)
 	}
-	second := s.Match("Indy   4 showtimes") // same normalized key
+	second := s.legacyMatch("Indy   4 showtimes") // same normalized key
 	if !second.Cached {
 		t.Fatal("second request missed the cache")
 	}
@@ -44,8 +44,8 @@ func TestMatchUsesCache(t *testing.T) {
 
 func TestMatchCacheDisabled(t *testing.T) {
 	s := testServer(Config{CacheSize: -1})
-	s.Match("indy 4")
-	if r := s.Match("indy 4"); r.Cached {
+	s.legacyMatch("indy 4")
+	if r := s.legacyMatch("indy 4"); r.Cached {
 		t.Fatal("disabled cache produced a hit")
 	}
 }
@@ -63,12 +63,12 @@ func TestMatchBatchOrderAndResults(t *testing.T) {
 			queries[i] = fmt.Sprintf("nothing here %d", i)
 		}
 	}
-	got := s.MatchBatch(queries)
+	got := s.legacyBatch(queries)
 	if len(got) != len(queries) {
 		t.Fatalf("%d results for %d queries", len(got), len(queries))
 	}
 	for i, r := range got {
-		want := s.Match(queries[i])
+		want := s.legacyMatch(queries[i])
 		want.Cached = false
 		r.Cached = false
 		if !jsonEqual(t, want, r) {
@@ -189,13 +189,13 @@ func TestHTTPBatch(t *testing.T) {
 // returned result corrupting the cache (and vice versa).
 func TestMatchResultIsolatedFromCache(t *testing.T) {
 	s := testServer(Config{CacheSize: 16})
-	first := s.Match("indy 4")
+	first := s.legacyMatch("indy 4")
 	if len(first.Matches) == 0 {
 		t.Fatal("no match")
 	}
 	first.Matches[0].Canonical = "MUTATED"
 
-	second := s.Match("indy 4")
+	second := s.legacyMatch("indy 4")
 	if !second.Cached {
 		t.Fatal("expected cache hit")
 	}
@@ -203,7 +203,7 @@ func TestMatchResultIsolatedFromCache(t *testing.T) {
 		t.Fatal("caller mutation leaked into the cache")
 	}
 	second.Matches[0].Canonical = "MUTATED AGAIN"
-	if third := s.Match("indy 4"); third.Matches[0].Canonical == "MUTATED AGAIN" {
+	if third := s.legacyMatch("indy 4"); third.Matches[0].Canonical == "MUTATED AGAIN" {
 		t.Fatal("mutation of a cache-hit result leaked into the cache")
 	}
 }

@@ -24,16 +24,12 @@ package serve
 
 import (
 	"bufio"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"websyn/internal/match"
@@ -59,25 +55,25 @@ type Snapshot struct {
 	Synonyms map[string][]string
 	// Dict is the compiled synonym dictionary.
 	Dict *match.Dictionary
-	// Fuzzy is the precomputed packed trigram index over Dict's strings
-	// (version 2 snapshots). When nil — a version 1 snapshot, or a
-	// builder that skipped it — servers rebuild the index from Dict.
+	// Fuzzy is the precomputed packed trigram index over Dict's strings.
+	// When nil — a builder that skipped it — servers rebuild the index
+	// from Dict.
 	Fuzzy *match.PackedFuzzy
 	// Vocab is the domain's attribute vocabulary for the structured
-	// rewrite stage (version 4 snapshots). When nil — an older snapshot,
-	// or a builder without entity-table access — the /v2 surface still
-	// serves, with empty attribute lists and residual == remainder.
+	// rewrite stage. When nil — a builder without entity-table access —
+	// the /v2 surface still serves, with empty attribute lists and
+	// residual == remainder.
 	Vocab *rewrite.Vocabulary
 	// Version is the file layout version this snapshot was read from;
-	// 0 for snapshots built in-process (never serialized). Writers
-	// ignore it — WriteTo always emits the current SnapshotVersion.
+	// 0 for snapshots built in-process (never serialized).
 	Version int
 }
 
-// Snapshot file layout (all integers uvarint unless noted, all strings
-// uvarint length + UTF-8 bytes):
+// Snapshot file layout — WSNP version 4, the only serialization of
+// serving state (all integers uvarint unless noted, all strings uvarint
+// length + UTF-8 bytes):
 //
-//	magic "WSNP", version byte,
+//	magic "WSNP", version byte (4),
 //	dataset string,
 //	minSim float64 bits (fixed 8 bytes, big endian),
 //	entity count, then per entity (ID = position): canonical string,
@@ -86,41 +82,39 @@ type Snapshot struct {
 //	dictionary distinct-string count, then per string:
 //	  text string, entry count, then per entry:
 //	    entityID, score float64 bits (fixed 8 bytes), source string,
-//	[version >= 2] packed fuzzy-index presence byte (0 or 1), then when
-//	  present the packed index — version 2: the uvarint/delta stream of
-//	  match.PackedFuzzy.WriteBinary; version 3: the aligned raw slab
-//	  layout of match.PackedFuzzy.WriteRaw, which a memory-mapped reader
-//	  aliases in place (see OpenSnapshotMapped),
-//	[version >= 4] attribute-vocabulary presence byte (0 or 1), then when
-//	  present: blob length, then the rewrite.Vocabulary binary form
-//	  (internal/rewrite's self-contained codec),
-//	CRC-32 (IEEE) of everything above (fixed 4 bytes, big endian).
+//	packed fuzzy-index presence byte (0 or 1), then when present the
+//	  aligned raw slab layout of match.PackedFuzzy.WriteRaw (zero padding
+//	  to an 8-byte file offset, then fixed-width little-endian arrays),
+//	attribute-vocabulary presence byte (0 or 1), then when present: blob
+//	  length, then the rewrite.Vocabulary binary form (internal/rewrite's
+//	  self-contained codec),
+//	CRC-32 (IEEE) of everything above (fixed 4 bytes, big endian) — the
+//	  file's last four bytes; nothing may follow them.
 //
-// The version byte is bumped on any incompatible layout change; readers
-// reject versions they don't know, but version 1 files (no fuzzy
-// section) stay readable — servers rebuild the index from the
-// dictionary — and version 2/3 files decode as before, simply without a
-// vocabulary. The trailing checksum catches truncated or corrupted
-// files before a server boots on bad data.
+// parse is the one decoder of this layout. The version byte is bumped on
+// any incompatible layout change and a reader refuses every version but
+// its own: snapshots are build artifacts, cheap to regenerate with
+// cmd/dictbuild, so there is no compatibility reader to keep honest. The
+// trailing checksum catches truncated or corrupted files before a server
+// boots on bad data.
 
 var snapshotMagic = [4]byte{'W', 'S', 'N', 'P'}
 
-// SnapshotVersion is the current snapshot layout version. Version 2
-// added the embedded packed fuzzy index; version 3 stores it as aligned
-// fixed-width slabs so OpenSnapshotMapped can serve it straight from
-// the page cache; version 4 appends the attribute vocabulary behind the
-// fuzzy section.
+// SnapshotVersion is the snapshot layout version this binary writes and
+// reads.
 const SnapshotVersion = 4
 
-// maxVocabBlob bounds the serialized attribute vocabulary; a larger
-// length prefix means a corrupt file and must not drive an allocation.
-const maxVocabBlob = 1 << 24
+// snapshotMinLen is the shortest conceivable file: magic, version, CRC.
+const snapshotMinLen = len(snapshotMagic) + 1 + 4
 
-// crcWriter hashes every byte it forwards.
+// crcWriter hashes and counts every byte it forwards. The bufio.Writer
+// underneath keeps the first write error and returns it from every
+// later Write and from Flush, so WriteTo checks errors once, at Flush.
 type crcWriter struct {
 	w   *bufio.Writer
 	sum hash.Hash32
 	n   int64
+	buf [binary.MaxVarintLen64]byte
 }
 
 func (cw *crcWriter) Write(p []byte) (int, error) {
@@ -130,488 +124,260 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+func (cw *crcWriter) uvarint(v uint64) {
+	cw.Write(cw.buf[:binary.PutUvarint(cw.buf[:], v)])
+}
+
+func (cw *crcWriter) str(s string) {
+	cw.uvarint(uint64(len(s)))
+	io.WriteString(cw, s)
+}
+
+func (cw *crcWriter) float(f float64) {
+	binary.BigEndian.PutUint64(cw.buf[:8], math.Float64bits(f))
+	cw.Write(cw.buf[:8])
+}
+
 // WriteTo serializes the snapshot. It returns the number of bytes
 // written.
 func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
-	return s.WriteToVersion(w, SnapshotVersion)
-}
-
-// WriteToVersion serializes a specific layout version — version 1 omits
-// the fuzzy section. Crossgrade tests and downgrade tooling use it to
-// produce older-format files; everyone else wants WriteTo.
-func (s *Snapshot) WriteToVersion(w io.Writer, version byte) (int64, error) {
-	if version < 1 || version > SnapshotVersion {
-		return 0, fmt.Errorf("serve: cannot write snapshot version %d (valid: 1..%d)", version, SnapshotVersion)
-	}
-	return s.writeTo(w, version)
-}
-
-func (s *Snapshot) writeTo(w io.Writer, version byte) (int64, error) {
 	bw := bufio.NewWriter(w)
 	cw := &crcWriter{w: bw, sum: crc32.NewIEEE()}
-	var scratch [binary.MaxVarintLen64]byte
 
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := cw.Write(scratch[:n])
-		return err
-	}
-	writeString := func(str string) error {
-		if err := writeUvarint(uint64(len(str))); err != nil {
-			return err
-		}
-		_, err := io.WriteString(cw, str)
-		return err
-	}
-	writeFloat := func(f float64) error {
-		binary.BigEndian.PutUint64(scratch[:8], math.Float64bits(f))
-		_, err := cw.Write(scratch[:8])
-		return err
-	}
+	cw.Write(snapshotMagic[:])
+	cw.Write([]byte{SnapshotVersion})
+	cw.str(s.Dataset)
+	cw.float(s.MinSim)
 
-	if _, err := cw.Write(snapshotMagic[:]); err != nil {
-		return cw.n, err
-	}
-	if _, err := cw.Write([]byte{version}); err != nil {
-		return cw.n, err
-	}
-	if err := writeString(s.Dataset); err != nil {
-		return cw.n, err
-	}
-	if err := writeFloat(s.MinSim); err != nil {
-		return cw.n, err
-	}
-
-	if err := writeUvarint(uint64(len(s.Canonicals))); err != nil {
-		return cw.n, err
-	}
+	cw.uvarint(uint64(len(s.Canonicals)))
 	for _, c := range s.Canonicals {
-		if err := writeString(c); err != nil {
-			return cw.n, err
-		}
+		cw.str(c)
 	}
 
-	if err := writeUvarint(uint64(len(s.Synonyms))); err != nil {
-		return cw.n, err
+	// Sorted, so snapshot bytes are deterministic for a given state.
+	norms := make([]string, 0, len(s.Synonyms))
+	for norm := range s.Synonyms {
+		norms = append(norms, norm)
 	}
-	for _, norm := range sortedKeys(s.Synonyms) {
-		if err := writeString(norm); err != nil {
-			return cw.n, err
-		}
+	sort.Strings(norms)
+	cw.uvarint(uint64(len(norms)))
+	for _, norm := range norms {
+		cw.str(norm)
 		syns := s.Synonyms[norm]
-		if err := writeUvarint(uint64(len(syns))); err != nil {
-			return cw.n, err
-		}
+		cw.uvarint(uint64(len(syns)))
 		for _, syn := range syns {
-			if err := writeString(syn); err != nil {
-				return cw.n, err
-			}
+			cw.str(syn)
 		}
 	}
 
-	// One trie walk: collect the (text, entries) pairs, then write them
-	// behind the count they determine.
-	type dictString struct {
-		text    string
-		entries []match.Entry
-	}
-	var dictStrings []dictString
+	cw.uvarint(uint64(s.Dict.DistinctStrings()))
 	s.Dict.ForEach(func(text string, entries []match.Entry) {
-		dictStrings = append(dictStrings, dictString{text, entries})
+		cw.str(text)
+		cw.uvarint(uint64(len(entries)))
+		for _, e := range entries {
+			cw.uvarint(uint64(e.EntityID))
+			cw.float(e.Score)
+			cw.str(e.Source)
+		}
 	})
-	if err := writeUvarint(uint64(len(dictStrings))); err != nil {
-		return cw.n, err
-	}
-	for _, ds := range dictStrings {
-		if err := writeString(ds.text); err != nil {
+
+	if s.Fuzzy == nil {
+		cw.Write([]byte{0})
+	} else {
+		cw.Write([]byte{1})
+		// The raw writer pads from the current file offset so the slabs
+		// land at mmap-friendly alignment.
+		if err := s.Fuzzy.WriteRaw(cw, cw.n); err != nil {
 			return cw.n, err
-		}
-		if err := writeUvarint(uint64(len(ds.entries))); err != nil {
-			return cw.n, err
-		}
-		for _, e := range ds.entries {
-			if err := writeUvarint(uint64(e.EntityID)); err != nil {
-				return cw.n, err
-			}
-			if err := writeFloat(e.Score); err != nil {
-				return cw.n, err
-			}
-			if err := writeString(e.Source); err != nil {
-				return cw.n, err
-			}
 		}
 	}
 
-	if version >= 2 {
-		if s.Fuzzy == nil {
-			if _, err := cw.Write([]byte{0}); err != nil {
-				return cw.n, err
-			}
-		} else {
-			if _, err := cw.Write([]byte{1}); err != nil {
-				return cw.n, err
-			}
-			if version >= 3 {
-				// The raw writer pads from the current file offset so the
-				// slabs land at mmap-friendly alignment.
-				if err := s.Fuzzy.WriteRaw(cw, cw.n); err != nil {
-					return cw.n, err
-				}
-			} else if err := s.Fuzzy.WriteBinary(cw); err != nil {
-				return cw.n, err
-			}
-		}
-	}
-
-	if version >= 4 {
-		if s.Vocab == nil {
-			if _, err := cw.Write([]byte{0}); err != nil {
-				return cw.n, err
-			}
-		} else {
-			if _, err := cw.Write([]byte{1}); err != nil {
-				return cw.n, err
-			}
-			blob := s.Vocab.AppendBinary(nil)
-			if err := writeUvarint(uint64(len(blob))); err != nil {
-				return cw.n, err
-			}
-			if _, err := cw.Write(blob); err != nil {
-				return cw.n, err
-			}
-		}
+	if s.Vocab == nil {
+		cw.Write([]byte{0})
+	} else {
+		cw.Write([]byte{1})
+		blob := s.Vocab.AppendBinary(nil)
+		cw.uvarint(uint64(len(blob)))
+		cw.Write(blob)
 	}
 
 	// Trailing checksum of everything written so far (not itself hashed).
-	binary.BigEndian.PutUint32(scratch[:4], cw.sum.Sum32())
-	if _, err := bw.Write(scratch[:4]); err != nil {
-		return cw.n, err
-	}
-	cw.n += 4
-	return cw.n, bw.Flush()
+	bw.Write(binary.BigEndian.AppendUint32(nil, cw.sum.Sum32()))
+	return cw.n + 4, bw.Flush()
 }
 
-// snapReader counts and (optionally) hashes every byte it yields; it
-// satisfies io.ByteReader so binary.ReadUvarint can consume it
-// directly. The byte count drives the version 3 fuzzy section's
-// alignment padding; sum is nil when integrity was already verified
-// up front (the memory-mapped path checksums the whole file in one
-// pass before parsing).
-type snapReader struct {
-	r interface {
-		io.Reader
-		io.ByteReader
-	}
-	sum hash.Hash32
-	n   int64
+// reader is a sticky-error cursor over a snapshot's bytes (the idiom of
+// rewrite's vocabulary decoder): the first failure is kept, later reads
+// yield zero values, and the decoder checks once per loop and once at
+// the end. Every length and count is checked against the bytes that
+// remain, so nothing read from a corrupt file can drive a loop or a read
+// past the file's own size (capacity hints are capped besides).
+type reader struct {
+	b   []byte
+	off int
+	err error
 }
 
-func (cr *snapReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	if cr.sum != nil {
-		cr.sum.Write(p[:n])
+func (r *reader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("serve: snapshot offset %d: "+format, append([]any{r.off}, args...)...)
 	}
-	cr.n += int64(n)
-	return n, err
 }
 
-func (cr *snapReader) ReadByte() (byte, error) {
-	b, err := cr.r.ReadByte()
-	if err == nil {
-		if cr.sum != nil {
-			cr.sum.Write([]byte{b})
-		}
-		cr.n++
+// take returns the next n bytes as a view of the input.
+func (r *reader) take(n uint64, what string) []byte {
+	if r.err != nil {
+		return nil
 	}
-	return b, err
+	if n > uint64(len(r.b)-r.off) {
+		r.fail("%s of %d bytes runs past the end of the file", what, n)
+		return nil
+	}
+	v := r.b[r.off : r.off+int(n)]
+	r.off += int(n)
+	return v
 }
 
-// maxSnapshotString bounds one serialized string; a longer length prefix
-// means a corrupt file and must not drive an allocation.
-const maxSnapshotString = 1 << 20
-
-// ReadSnapshot loads a snapshot serialized by WriteTo, verifying the
-// layout version and the trailing checksum.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	cr := &snapReader{r: bufio.NewReader(r), sum: crc32.NewIEEE()}
-	return readSnapshotFrom(cr, nil, nil)
+func (r *reader) uvarint(what string) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
+		r.fail("bad or truncated %s", what)
+		return 0
+	}
+	r.off += n
+	return v
 }
 
-// readSnapshotFrom is the shared decode core. mapped, when non-nil, is
-// the whole serialized file held in memory (an mmap) that cr is reading
-// from: the version 3 fuzzy section is then aliased in place via
-// match.MapPackedFuzzy with pin as its lifetime anchor, instead of
-// decoded onto the heap, and cr.sum is expected to be nil (integrity
-// pre-verified).
-func readSnapshotFrom(cr *snapReader, mapped []byte, pin any) (*Snapshot, error) {
+// count reads an element count. Every counted element occupies at least
+// one byte, so a count past the remaining bytes is corrupt.
+func (r *reader) count(what string) int {
+	n := r.uvarint(what)
+	if r.err == nil && n > uint64(len(r.b)-r.off) {
+		r.fail("%s %d exceeds the %d bytes left", what, n, len(r.b)-r.off)
+		return 0
+	}
+	return int(n)
+}
 
-	readUvarint := func() (uint64, error) { return binary.ReadUvarint(cr) }
-	readString := func() (string, error) {
-		n, err := readUvarint()
-		if err != nil {
-			return "", err
-		}
-		if n > maxSnapshotString {
-			return "", fmt.Errorf("string length %d exceeds limit", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(cr, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	readFloat := func() (float64, error) {
-		var buf [8]byte
-		if _, err := io.ReadFull(cr, buf[:]); err != nil {
-			return 0, err
-		}
-		return math.Float64frombits(binary.BigEndian.Uint64(buf[:])), nil
-	}
+func (r *reader) str(what string) string {
+	return string(r.take(r.uvarint(what), what))
+}
 
-	var magic [4]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return nil, fmt.Errorf("serve: reading snapshot magic: %w", err)
+func (r *reader) float(what string) float64 {
+	if b := r.take(8, what); b != nil {
+		return math.Float64frombits(binary.BigEndian.Uint64(b))
 	}
-	if magic != snapshotMagic {
-		return nil, fmt.Errorf("serve: bad snapshot magic %q", magic[:])
-	}
-	ver, err := cr.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("serve: reading snapshot version: %w", err)
-	}
-	if ver < 1 || ver > SnapshotVersion {
-		return nil, fmt.Errorf("serve: snapshot version %d, this binary reads 1..%d", ver, SnapshotVersion)
-	}
+	return 0
+}
 
-	snap := &Snapshot{Version: int(ver)}
-	if snap.Dataset, err = readString(); err != nil {
-		return nil, fmt.Errorf("serve: reading dataset: %w", err)
+// present reads a section's presence byte.
+func (r *reader) present(what string) bool {
+	b := r.take(1, what)
+	if b != nil && b[0] > 1 {
+		r.fail("bad %s byte %d", what, b[0])
 	}
-	if snap.MinSim, err = readFloat(); err != nil {
-		return nil, fmt.Errorf("serve: reading minSim: %w", err)
-	}
+	return b != nil && b[0] == 1
+}
 
-	nEnt, err := readUvarint()
-	if err != nil {
-		return nil, fmt.Errorf("serve: reading entity count: %w", err)
+// parse decodes one whole serialized snapshot — the only function that
+// knows the WSNP layout, behind every opener. pin selects the mode, as
+// in match.MapPackedFuzzy: with a pin (the owner of data, an mmap
+// handle) the fuzzy slabs alias data in place and carry the pin; with a
+// nil pin everything is copied out and data may be dropped on return.
+// Everything else is decoded onto the heap either way. Integrity first:
+// one CRC pass over the file rejects corruption before any structure is
+// trusted, and the CRC must be the file's last four bytes.
+func parse(data []byte, pin any) (*Snapshot, error) {
+	if len(data) < snapshotMinLen {
+		return nil, fmt.Errorf("serve: snapshot too short (%d bytes)", len(data))
 	}
-	snap.Canonicals = make([]string, 0, int(min(nEnt, 1<<20)))
-	for i := uint64(0); i < nEnt; i++ {
-		c, err := readString()
-		if err != nil {
-			return nil, fmt.Errorf("serve: reading entity %d: %w", i, err)
-		}
-		snap.Canonicals = append(snap.Canonicals, c)
+	if [4]byte(data) != snapshotMagic {
+		return nil, fmt.Errorf("serve: bad snapshot magic %q", data[:4])
+	}
+	if ver := data[4]; ver != SnapshotVersion {
+		return nil, fmt.Errorf("serve: snapshot layout version %d, this binary reads only version %d: rebuild the snapshot with cmd/dictbuild", ver, SnapshotVersion)
+	}
+	body, tail := data[:len(data)-4], data[len(data)-4:]
+	if got, want := binary.BigEndian.Uint32(tail), crc32.ChecksumIEEE(body); got != want {
+		return nil, fmt.Errorf("serve: snapshot checksum mismatch (stored %08x, computed %08x)", got, want)
 	}
 
-	nSyn, err := readUvarint()
-	if err != nil {
-		return nil, fmt.Errorf("serve: reading synonym-record count: %w", err)
+	r := &reader{b: body, off: len(snapshotMagic) + 1}
+	snap := &Snapshot{Version: SnapshotVersion}
+	snap.Dataset = r.str("dataset")
+	snap.MinSim = r.float("minSim")
+
+	nEnt := r.count("entity count")
+	snap.Canonicals = make([]string, 0, min(nEnt, 1<<20))
+	for i := 0; i < nEnt && r.err == nil; i++ {
+		snap.Canonicals = append(snap.Canonicals, r.str("canonical"))
 	}
-	snap.Synonyms = make(map[string][]string, int(min(nSyn, 1<<20)))
-	for i := uint64(0); i < nSyn; i++ {
-		norm, err := readString()
-		if err != nil {
-			return nil, fmt.Errorf("serve: reading synonym record %d: %w", i, err)
-		}
-		cnt, err := readUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("serve: reading synonym count for %q: %w", norm, err)
-		}
-		syns := make([]string, 0, int(min(cnt, 1<<16)))
-		for j := uint64(0); j < cnt; j++ {
-			syn, err := readString()
-			if err != nil {
-				return nil, fmt.Errorf("serve: reading synonym %d of %q: %w", j, norm, err)
-			}
-			syns = append(syns, syn)
+
+	nSyn := r.count("synonym-record count")
+	snap.Synonyms = make(map[string][]string, min(nSyn, 1<<20))
+	for i := 0; i < nSyn && r.err == nil; i++ {
+		norm := r.str("synonym norm")
+		cnt := r.count("synonym count")
+		syns := make([]string, 0, min(cnt, 1<<16))
+		for j := 0; j < cnt && r.err == nil; j++ {
+			syns = append(syns, r.str("synonym"))
 		}
 		snap.Synonyms[norm] = syns
 	}
 
-	nStr, err := readUvarint()
-	if err != nil {
-		return nil, fmt.Errorf("serve: reading dictionary string count: %w", err)
-	}
+	nStr := r.count("dictionary string count")
 	snap.Dict = match.NewDictionary()
-	for i := uint64(0); i < nStr; i++ {
-		text, err := readString()
-		if err != nil {
-			return nil, fmt.Errorf("serve: reading dictionary string %d: %w", i, err)
-		}
-		cnt, err := readUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("serve: reading entry count for %q: %w", text, err)
-		}
-		for j := uint64(0); j < cnt; j++ {
-			id, err := readUvarint()
-			if err != nil {
-				return nil, fmt.Errorf("serve: reading entity ID (%q entry %d): %w", text, j, err)
+	for i := 0; i < nStr && r.err == nil; i++ {
+		text := r.str("dictionary string")
+		cnt := r.count("entry count")
+		for j := 0; j < cnt && r.err == nil; j++ {
+			e := match.Entry{
+				EntityID: int(r.uvarint("entity ID")),
+				Score:    r.float("score"),
+				Source:   r.str("entry source"),
 			}
-			score, err := readFloat()
-			if err != nil {
-				return nil, fmt.Errorf("serve: reading score (%q entry %d): %w", text, j, err)
+			if r.err == nil {
+				snap.Dict.Add(text, e)
 			}
-			source, err := readString()
-			if err != nil {
-				return nil, fmt.Errorf("serve: reading source (%q entry %d): %w", text, j, err)
-			}
-			snap.Dict.Add(text, match.Entry{EntityID: int(id), Score: score, Source: source})
 		}
 	}
 
-	if ver >= 2 {
-		present, err := cr.ReadByte()
+	if r.present("fuzzy-index presence") && r.err == nil {
+		p, end, err := match.MapPackedFuzzy(body, int64(r.off), pin)
 		if err != nil {
-			return nil, fmt.Errorf("serve: reading fuzzy-index presence: %w", err)
+			return nil, fmt.Errorf("serve: snapshot offset %d: packed fuzzy index: %w", r.off, err)
 		}
-		switch present {
-		case 0:
-		case 1:
-			switch {
-			case ver >= 3 && mapped != nil:
-				// Alias the raw slabs in place; advance cr past the section
-				// so any trailing layout stays in sync.
-				p, end, err := match.MapPackedFuzzy(mapped, cr.n, pin)
-				if err != nil {
-					return nil, fmt.Errorf("serve: mapping packed fuzzy index: %w", err)
-				}
-				if _, err := io.CopyN(io.Discard, cr, end-cr.n); err != nil {
-					return nil, fmt.Errorf("serve: skipping mapped fuzzy index: %w", err)
-				}
-				snap.Fuzzy = p
-			case ver >= 3:
-				snap.Fuzzy, err = match.ReadPackedFuzzyRaw(cr, cr.n)
-				if err != nil {
-					return nil, fmt.Errorf("serve: reading packed fuzzy index: %w", err)
-				}
-			default:
-				// cr implements io.ByteReader, so the packed reader consumes
-				// exactly the section and leaves the checksum in place.
-				snap.Fuzzy, err = match.ReadPackedFuzzy(cr)
-				if err != nil {
-					return nil, fmt.Errorf("serve: reading packed fuzzy index: %w", err)
-				}
-			}
-		default:
-			return nil, fmt.Errorf("serve: bad fuzzy-index presence byte %d", present)
-		}
+		snap.Fuzzy, r.off = p, int(end)
 	}
 
-	if ver >= 4 {
-		present, err := cr.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("serve: reading vocabulary presence: %w", err)
-		}
-		switch present {
-		case 0:
-		case 1:
-			n, err := readUvarint()
-			if err != nil {
-				return nil, fmt.Errorf("serve: reading vocabulary length: %w", err)
-			}
-			if n > maxVocabBlob {
-				return nil, fmt.Errorf("serve: vocabulary length %d exceeds limit", n)
-			}
-			blob := make([]byte, n)
-			if _, err := io.ReadFull(cr, blob); err != nil {
-				return nil, fmt.Errorf("serve: reading vocabulary: %w", err)
-			}
+	if r.present("vocabulary presence") {
+		blob := r.take(r.uvarint("vocabulary length"), "vocabulary")
+		if r.err == nil {
+			var err error
 			if snap.Vocab, err = rewrite.DecodeBinary(blob); err != nil {
 				return nil, fmt.Errorf("serve: decoding vocabulary: %w", err)
 			}
-		default:
-			return nil, fmt.Errorf("serve: bad vocabulary presence byte %d", present)
 		}
 	}
 
-	var stored [4]byte
-	if _, err := io.ReadFull(cr.r, stored[:]); err != nil {
-		return nil, fmt.Errorf("serve: reading snapshot checksum: %w", err)
+	if r.err == nil && r.off != len(body) {
+		r.fail("%d undecoded bytes before the checksum", len(body)-r.off)
 	}
-	if cr.sum != nil {
-		if got, want := binary.BigEndian.Uint32(stored[:]), cr.sum.Sum32(); got != want {
-			return nil, fmt.Errorf("serve: snapshot checksum mismatch (stored %08x, computed %08x)", got, want)
-		}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return snap, nil
 }
 
-// WriteFile serializes the snapshot to a file, replacing any existing
-// content atomically (write to a temp file, then rename).
-func (s *Snapshot) WriteFile(path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".snap-*")
+// ReadSnapshot loads a snapshot serialized by WriteTo from a stream,
+// copy mode: the bytes are read whole, decoded, and dropped.
+func ReadSnapshot(r io.Reader) (*Snapshot, error) {
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return fmt.Errorf("serve: creating snapshot temp file: %w", err)
+		return nil, fmt.Errorf("serve: reading snapshot: %w", err)
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := s.WriteTo(tmp); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: writing snapshot: %w", err)
-	}
-	// CreateTemp's 0600 would make the artifact unreadable by a service
-	// user other than the builder; open it up to a normal file mode.
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: setting snapshot permissions: %w", err)
-	}
-	// Flush to stable storage before the rename makes it visible, so a
-	// crash cannot install a truncated snapshot.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("serve: syncing snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("serve: closing snapshot temp file: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("serve: installing snapshot: %w", err)
-	}
-	return nil
-}
-
-// ReadSnapshotFile loads a snapshot from a file.
-func ReadSnapshotFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("serve: opening snapshot: %w", err)
-	}
-	defer f.Close()
-	return ReadSnapshot(f)
-}
-
-// ReadSnapshotFileHashed loads a snapshot while streaming its bytes
-// through SHA-256, returning the hex digest of the whole file alongside
-// it — the provenance hash matchd boots with and the reload watcher
-// keys its change detection on. Hashing during the parse avoids holding
-// the file in memory next to the decoded dictionary.
-func ReadSnapshotFileHashed(path string) (*Snapshot, string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, "", fmt.Errorf("serve: opening snapshot: %w", err)
-	}
-	defer f.Close()
-	h := sha256.New()
-	snap, err := ReadSnapshot(io.TeeReader(f, h))
-	if err != nil {
-		return nil, "", err
-	}
-	// Drain anything past the checksum (a valid file has none) so the
-	// digest always covers the whole file, matching any independent
-	// whole-file hash.
-	if _, err := io.Copy(h, f); err != nil {
-		return nil, "", fmt.Errorf("serve: reading snapshot tail: %w", err)
-	}
-	return snap, hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// sortedKeys returns the map's keys in ascending order so snapshot bytes
-// are deterministic for a given state.
-func sortedKeys(m map[string][]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return parse(data, nil)
 }

@@ -126,39 +126,37 @@ func dumpDict(d *match.Dictionary) map[string][]match.Entry {
 	return out
 }
 
-// TestSnapshotReadsVersion1 pins backward compatibility: a version 1
-// file (no fuzzy section) must load, with servers rebuilding the index
-// from the dictionary.
-func TestSnapshotReadsVersion1(t *testing.T) {
+// TestSnapshotWithoutFuzzySection pins the presence byte: a snapshot
+// written without a packed index reads back with Fuzzy nil, and a
+// server over it rebuilds the index from the dictionary and serves the
+// same fuzzy hits as one over the embedded index.
+func TestSnapshotWithoutFuzzySection(t *testing.T) {
 	snap := testSnapshot()
+	bare := testSnapshot()
+	bare.Fuzzy = nil
 	var buf bytes.Buffer
-	if _, err := snap.writeTo(&buf, 1); err != nil {
+	if _, err := bare.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("version 1 snapshot rejected: %v", err)
+		t.Fatal(err)
 	}
 	if got.Fuzzy != nil {
-		t.Fatal("version 1 snapshot produced a fuzzy section")
+		t.Fatal("snapshot without a fuzzy section produced one")
 	}
-	if got.Dict.Len() != snap.Dict.Len() {
-		t.Fatalf("Dict.Len %d, want %d", got.Dict.Len(), snap.Dict.Len())
-	}
-	// A server over the v1 snapshot must serve the same fuzzy hits as
-	// one over the v2 snapshot with the embedded index.
-	v1 := NewServer(got, Config{CacheSize: -1})
-	v2 := NewServer(snap, Config{CacheSize: -1})
+	rebuilt := NewServer(got, Config{CacheSize: -1})
+	embedded := NewServer(snap, Config{CacheSize: -1})
 	for _, q := range []string{"madagascar2", "indianna jones 4", "indy4"} {
-		a := v1.gen.Load().fuzzy.Lookup(q, 5)
-		b := v2.gen.Load().fuzzy.Lookup(q, 5)
+		a := rebuilt.gen.Load().fuzzy.Lookup(q, 5)
+		b := embedded.gen.Load().fuzzy.Lookup(q, 5)
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("fuzzy Lookup(%q) diverged between v1 rebuild and v2 embedded:\n v1 %+v\n v2 %+v", q, a, b)
+			t.Errorf("fuzzy Lookup(%q) diverged between rebuilt and embedded index:\n rebuilt %+v\n embedded %+v", q, a, b)
 		}
 	}
 }
 
-// TestSnapshotVocabularyRoundTrip pins the v4 section: an attached
+// TestSnapshotVocabularyRoundTrip pins the vocabulary section: an attached
 // vocabulary survives the write/read cycle intact, and a snapshot
 // without one reads back with Vocab nil (presence byte 0).
 func TestSnapshotVocabularyRoundTrip(t *testing.T) {
@@ -187,31 +185,6 @@ func TestSnapshotVocabularyRoundTrip(t *testing.T) {
 	}
 	if got.Vocab != nil {
 		t.Errorf("nil vocabulary came back non-nil: %+v", got.Vocab)
-	}
-}
-
-// TestSnapshotWritesVersion3 pins the crossgrade path: WriteToVersion(3)
-// must still emit a file older readers accept, dropping the vocabulary
-// section — the deployment story for mixed-version fleets.
-func TestSnapshotWritesVersion3(t *testing.T) {
-	snap := testSnapshot()
-	snap.Vocab = testVocabulary()
-	var buf bytes.Buffer
-	if _, err := snap.WriteToVersion(&buf, 3); err != nil {
-		t.Fatal(err)
-	}
-	if v := buf.Bytes()[4]; v != 3 {
-		t.Fatalf("version byte %d, want 3", v)
-	}
-	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v3 crossgrade snapshot rejected: %v", err)
-	}
-	if got.Vocab != nil {
-		t.Errorf("v3 snapshot produced a vocabulary: %+v", got.Vocab)
-	}
-	if got.Dict.Len() != snap.Dict.Len() {
-		t.Fatalf("Dict.Len %d, want %d", got.Dict.Len(), snap.Dict.Len())
 	}
 }
 

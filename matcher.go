@@ -1,22 +1,12 @@
 package websyn
 
-import (
-	"io"
-
-	"websyn/internal/match"
-)
+import "websyn/internal/match"
 
 // Matching re-exports: the downstream fuzzy query matcher.
 type (
 	// MatchDictionary is the compiled synonym dictionary for query
 	// matching.
 	MatchDictionary = match.Dictionary
-	// DictEntry is one dictionary payload.
-	DictEntry = match.Entry
-	// QueryMatch is one entity mention found in a query.
-	QueryMatch = match.Match
-	// Segmentation is a full query-segmentation result.
-	Segmentation = match.Segmentation
 	// FuzzyIndex is the trigram index for whole-string fuzzy lookup.
 	FuzzyIndex = match.FuzzyIndex
 	// FuzzyHit is one fuzzy-lookup result.
@@ -67,16 +57,6 @@ func (s *Simulation) BuildEngine(results []*MineResult, minSim float64) *MatchEn
 	dict := s.BuildDictionary(results)
 	return match.NewEngine(dict, dict.NewFuzzyIndex(minSim), s.Catalog.Canonicals(), minSim)
 }
-
-// LoadDictionary reads a dictionary serialized with
-// MatchDictionary.WriteTSV.
-func LoadDictionary(r io.Reader) (*MatchDictionary, error) {
-	return match.ReadTSV(r)
-}
-
-// NewMatchDictionary returns an empty dictionary (for callers assembling
-// their own strings).
-func NewMatchDictionary() *MatchDictionary { return match.NewDictionary() }
 
 // BuildDictionary compiles the catalog's canonical strings plus the mined
 // synonyms into a fuzzy-match dictionary — the artifact the paper's whole

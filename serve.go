@@ -1,7 +1,6 @@
 package websyn
 
 import (
-	"io"
 	"net/http"
 	"strings"
 
@@ -20,10 +19,6 @@ type (
 	MatchServer = serve.Server
 	// ServeConfig tunes a MatchServer.
 	ServeConfig = serve.Config
-	// ServeStats is the /statsz payload.
-	ServeStats = serve.Stats
-	// MatchResult is the JSON shape of one matched query.
-	MatchResult = serve.MatchResult
 	// SnapshotMeta records the provenance (path, SHA-256, layout
 	// version) of an installed snapshot.
 	SnapshotMeta = serve.SnapshotMeta
@@ -36,8 +31,6 @@ type (
 	// several verticals, each with its own generation handle, request
 	// cache and reload watcher, behind a federated /v1/match.
 	Registry = serve.Registry
-	// RegistryStats is the multi-domain /statsz payload.
-	RegistryStats = serve.RegistryStats
 	// ReloadGroup runs one snapshot watcher per domain with a shared
 	// per-domain admin surface.
 	ReloadGroup = reload.Group
@@ -77,24 +70,21 @@ func MountProfiling(mux *http.ServeMux) { serve.MountProfiling(mux) }
 // NewReloadGroup builds an empty per-domain reload watcher group.
 func NewReloadGroup() *ReloadGroup { return reload.NewGroup() }
 
-// ReadSnapshot loads a serving snapshot written with Snapshot.WriteTo.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) { return serve.ReadSnapshot(r) }
-
-// ReadSnapshotFile loads a serving snapshot from a file.
+// ReadSnapshotFile loads a serving snapshot from a file, decoded onto
+// the heap.
 func ReadSnapshotFile(path string) (*Snapshot, error) { return serve.ReadSnapshotFile(path) }
 
-// ReadSnapshotFileHashed loads a serving snapshot and its streaming
-// whole-file SHA-256 hex digest (the provenance hash hot reload keys
-// change detection on).
+// ReadSnapshotFileHashed is ReadSnapshotFile also returning the hex
+// SHA-256 of the file bytes (the provenance hash hot reload keys change
+// detection on).
 func ReadSnapshotFileHashed(path string) (*Snapshot, string, error) {
 	return serve.ReadSnapshotFileHashed(path)
 }
 
-// OpenSnapshotMapped loads a serving snapshot with its fuzzy posting
-// slabs memory-mapped straight out of the file (current-version
-// snapshots), so boot skips the posting decode entirely and the slab
-// pages stay shared with the OS page cache. See
-// docs/PERFORMANCE.md#memory-model.
+// OpenSnapshotMapped loads a serving snapshot through the same decoder
+// with its fuzzy posting slabs left aliasing the memory-mapped file, so
+// boot skips the posting decode entirely and the slab pages stay shared
+// with the OS page cache. See docs/PERFORMANCE.md#memory-model.
 func OpenSnapshotMapped(path string) (*Snapshot, error) {
 	return serve.OpenSnapshotMapped(path)
 }

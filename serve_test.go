@@ -2,11 +2,15 @@ package websyn
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -23,20 +27,34 @@ func movieSnapshot(t testing.TB) *Snapshot {
 	return sim.BuildSnapshot(results, 0)
 }
 
+// reloadFromDisk writes snap to a file and reads it back, so the caller
+// holds nothing but what the snapshot bytes carry.
+func reloadFromDisk(t *testing.T, snap *Snapshot) *Snapshot {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "dict.snap")
+	if err := snap.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loaded
+}
+
+// legacyMatchResult is what these tests read of the GET /match shape.
+type legacyMatchResult struct {
+	Matches []struct {
+		Canonical string `json:"canonical"`
+	} `json:"matches"`
+}
+
 // TestSnapshotRoundTripIdenticalMatches is the end-to-end round-trip
 // acceptance test: a server started from snapshot bytes must produce
 // byte-identical match results to one built directly from the miner.
 func TestSnapshotRoundTripIdenticalMatches(t *testing.T) {
 	snap := movieSnapshot(t)
-
-	var buf bytes.Buffer
-	if _, err := snap.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := reloadFromDisk(t, snap)
 	if loaded.Dict.Len() != snap.Dict.Len() {
 		t.Fatalf("dictionary size changed through round-trip: %d -> %d",
 			snap.Dict.Len(), loaded.Dict.Len())
@@ -56,11 +74,39 @@ func TestSnapshotRoundTripIdenticalMatches(t *testing.T) {
 		queries = append(queries, e.Canonical+" showtimes")
 	}
 	for _, q := range queries {
-		want := direct.Match(q)
-		got := fromDisk.Match(q)
+		want, errA := direct.Do(MatchRequest{Query: q})
+		got, errB := fromDisk.Do(MatchRequest{Query: q})
+		if errA != nil || errB != nil {
+			t.Fatalf("Do(%q): %v / %v", q, errA, errB)
+		}
+		want.Timing = got.Timing // wall-clock, not content
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("Match(%q) diverged through snapshot round-trip:\n got %+v\nwant %+v", q, got, want)
 		}
+	}
+}
+
+// TestMoviesSnapshotBytesGolden pins the writer: the movies snapshot at
+// the default seed and thresholds — what `dictbuild -dataset movies`
+// writes — hashes to the digest recorded when WSNP v4 became the only
+// layout, so a refactor of WriteTo (or of anything upstream of it)
+// cannot move the artifact's bytes unnoticed. A deliberate format or
+// mining change updates the constant, and says so.
+func TestMoviesSnapshotBytesGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("mined scores are float arithmetic; the digest was recorded on amd64")
+	}
+	const golden = "49bfb84c298885ea207c71acf261c56895364d8b370cc261b0a2057080a984f6"
+	snap, err := MineSnapshot(Movies, DefaultMinerConfig(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if _, err := snap.WriteTo(h); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != golden {
+		t.Errorf("movies snapshot bytes moved: sha256 %s, golden %s", got, golden)
 	}
 }
 
@@ -68,16 +114,8 @@ func TestSnapshotRoundTripIdenticalMatches(t *testing.T) {
 // an HTTP server answering /match built from snapshot bytes alone — no
 // Simulation, no miner.
 func TestServeFromSnapshotWithoutMiner(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := movieSnapshot(t).WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-
 	// From here on, only the snapshot bytes are used.
-	snap, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := reloadFromDisk(t, movieSnapshot(t))
 	ts := httptest.NewServer(NewMatchServer(snap, ServeConfig{}).Handler())
 	defer ts.Close()
 
@@ -86,7 +124,7 @@ func TestServeFromSnapshotWithoutMiner(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var mr MatchResult
+	var mr legacyMatchResult
 	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +147,8 @@ func TestServeFromSnapshotWithoutMiner(t *testing.T) {
 	}
 	defer bresp.Body.Close()
 	var br struct {
-		Count   int           `json:"count"`
-		Results []MatchResult `json:"results"`
+		Count   int                 `json:"count"`
+		Results []legacyMatchResult `json:"results"`
 	}
 	if err := json.NewDecoder(bresp.Body).Decode(&br); err != nil {
 		t.Fatal(err)
