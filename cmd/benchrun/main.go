@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	benchrun [-bench regex] [-count 3] [-pkg .,./internal/serve]
+//	benchrun [-bench regex] [-count 3] [-pkg .,./internal/serve,./internal/match]
 //	         [-out bench/BENCH_<date>.json]
 //	         [-baseline BENCH_baseline.json] [-threshold 0.25]
 //	         [-write-baseline path]
@@ -46,14 +46,16 @@ import (
 // POST /v1/match through the handler and its batch pool, the snapshot
 // decoder in copy and mmap alias mode) plus the concurrency suite
 // (parallel single-query DoView, parallel federation, and the
-// contended-cache microbenchmark). BenchmarkServeMatchParallel's cached
-// sub-benchmark carries a zero-alloc baseline the gate treats as an
-// absolute invariant.
-const GatedBenchmarks = "BenchmarkFuzzyLookup|BenchmarkServeMatchParallel|BenchmarkServeBatch|BenchmarkEngineMatch|BenchmarkSnapshotOpen|BenchmarkRegistryFederateParallel|BenchmarkCacheContended"
+// contended-cache microbenchmark) and the typo corrector's probe and
+// index build. BenchmarkServeMatchParallel's cached sub-benchmark,
+// BenchmarkEngineMatch and the BenchmarkTypoCorrect probe rows carry
+// zero-alloc baselines the gate treats as absolute invariants.
+const GatedBenchmarks = "BenchmarkFuzzyLookup|BenchmarkServeMatchParallel|BenchmarkServeBatch|BenchmarkEngineMatch|BenchmarkSnapshotOpen|BenchmarkRegistryFederateParallel|BenchmarkCacheContended|BenchmarkTypoCorrect|BenchmarkTypoIndexBuild"
 
-// GatedPackages is the default -pkg value: the root serving facade plus
-// internal/serve, home of the contended-cache microbenchmark.
-const GatedPackages = ".,./internal/serve"
+// GatedPackages is the default -pkg value: the root serving facade,
+// internal/serve (home of the contended-cache microbenchmark) and
+// internal/match (the typo corrector, whose probe is unexported).
+const GatedPackages = ".,./internal/serve,./internal/match"
 
 // Result is one benchmark's aggregated measurement.
 type Result struct {

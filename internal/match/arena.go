@@ -312,7 +312,7 @@ func (c *matchCtx) doneTrace() []TraceStep {
 func (c *matchCtx) segment() {
 	sc := c.sc
 	for start := 0; start < len(sc.tokens); start++ {
-		node, bestEnd, corrected := c.longestFrom(start)
+		node, bestEnd, corrected := c.e.dict.longestFrom(sc.tokens, start)
 		if bestEnd < 0 {
 			continue
 		}
@@ -370,37 +370,6 @@ func (c *matchCtx) segment() {
 				sm.Span, sm.Start, sm.End, sm.EntityID, sm.Canonical, sm.Score, sm.Source, sm.Method)
 		}
 	}
-}
-
-// longestFrom walks the trie from tokens[start] with typo correction,
-// returning the node of the longest span ending with entries.
-//
-//websyn:hotpath
-func (c *matchCtx) longestFrom(start int) (best *trieNode, bestEnd int, bestCorrected bool) {
-	d := c.e.dict
-	node := d.root
-	bestEnd = -1
-	corrected := false
-	for i := start; i < len(c.sc.tokens); i++ {
-		tok := c.sc.tokens[i]
-		next := node.children[tok]
-		if next == nil {
-			if fixed := d.correct(tok); fixed != "" {
-				next = node.children[fixed]
-				if next != nil {
-					corrected = true
-				}
-			}
-		}
-		if next == nil {
-			break
-		}
-		node = next
-		if len(node.entries) > 0 {
-			best, bestEnd, bestCorrected = node, i+1, corrected
-		}
-	}
-	return best, bestEnd, bestCorrected
 }
 
 // bestEntryOf returns the winning entry: highest score, ties to the

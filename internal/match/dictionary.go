@@ -20,6 +20,8 @@ package match
 import (
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"websyn/internal/textnorm"
@@ -38,12 +40,10 @@ type Entry struct {
 
 // trieNode is one node of the token trie.
 type trieNode struct {
+	// children is nil until the node gets its first child: most nodes
+	// are leaves, and a nil map reads as empty everywhere.
 	children map[string]*trieNode
 	entries  []Entry // non-empty when a dictionary string ends here
-}
-
-func newTrieNode() *trieNode {
-	return &trieNode{children: make(map[string]*trieNode)}
 }
 
 // Dictionary is the compiled synonym dictionary.
@@ -52,11 +52,18 @@ type Dictionary struct {
 	size    int             // (string, entity) pairs
 	strings int             // distinct strings
 	vocab   map[string]bool // every token appearing in any dictionary string
+	tokens  []string        // vocab's keys in first-seen order: the typo index's token table
+
+	// typo is the typo corrector's index over tokens, built on first use
+	// and dropped when Add grows the vocabulary. typoMu serializes
+	// builds, so concurrent readers of a frozen dictionary build it once.
+	typo   atomic.Pointer[typoIndex]
+	typoMu sync.Mutex
 }
 
 // NewDictionary returns an empty dictionary.
 func NewDictionary() *Dictionary {
-	return &Dictionary{root: newTrieNode(), vocab: make(map[string]bool)}
+	return &Dictionary{root: &trieNode{}, vocab: make(map[string]bool)}
 }
 
 // Add inserts one string with its payload. The string is normalized; empty
@@ -69,10 +76,17 @@ func (d *Dictionary) Add(text string, e Entry) {
 	}
 	node := d.root
 	for _, tok := range tokens {
-		d.vocab[tok] = true
+		if !d.vocab[tok] {
+			d.vocab[tok] = true
+			d.tokens = append(d.tokens, tok)
+			d.typo.Store(nil) // new vocabulary: the typo index is stale
+		}
 		next := node.children[tok]
 		if next == nil {
-			next = newTrieNode()
+			next = &trieNode{}
+			if node.children == nil {
+				node.children = make(map[string]*trieNode)
+			}
 			node.children[tok] = next
 		}
 		node = next
@@ -180,29 +194,34 @@ func (d *Dictionary) Strings() []string {
 // correct returns the dictionary vocabulary token closest to tok within
 // edit distance 1, or "" when none or ambiguous. Only tokens of length >= 4
 // are corrected: short tokens ("4", "tv") produce too many false friends.
+// Candidates come from a probe of the typo index, never from a pass over
+// the vocabulary.
 //
 //websyn:hotpath
 func (d *Dictionary) correct(tok string) string {
-	if len(tok) < 4 || d.vocab[tok] {
+	if len(tok) < typoMinQueryLen || d.vocab[tok] {
 		return ""
 	}
-	best := ""
-	for v := range d.vocab {
-		if len(v) < 3 {
-			continue
-		}
-		dl := len(v) - len(tok)
-		if dl > 1 || dl < -1 {
-			continue
-		}
-		if editWithin1(tok, v) {
-			if best != "" && best != v {
-				return "" // ambiguous correction: refuse to guess
-			}
-			best = v
-		}
+	return d.typoIndex().unique(tok)
+}
+
+// typoIndex returns the index over the current vocabulary, building it
+// if Add has run since the last build. NewEngine calls it so a served
+// dictionary never builds on a request.
+//
+//websyn:hotpath
+func (d *Dictionary) typoIndex() *typoIndex {
+	if ix := d.typo.Load(); ix != nil {
+		return ix
 	}
-	return best
+	d.typoMu.Lock()
+	defer d.typoMu.Unlock()
+	ix := d.typo.Load()
+	if ix == nil {
+		ix = buildTypoIndex(d.tokens)
+		d.typo.Store(ix)
+	}
+	return ix
 }
 
 // editWithin1 reports whether the rune-level Levenshtein distance of a

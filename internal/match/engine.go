@@ -38,8 +38,11 @@ type Engine struct {
 }
 
 // NewEngine assembles an engine. fuzzy and canonicals may be nil (see
-// Engine field docs); minSim <= 0 falls back to the package default.
+// Engine field docs); minSim <= 0 falls back to the package default. It
+// builds the dictionary's typo index here, so neither the first request
+// nor a hot reload's first query pays for it.
 func NewEngine(dict *Dictionary, fuzzy *FuzzyIndex, canonicals []string, minSim float64) *Engine {
+	dict.typoIndex()
 	return &Engine{dict: dict, fuzzy: fuzzy, canonicals: canonicals, minSim: normMinSim(minSim)}
 }
 
