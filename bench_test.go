@@ -12,7 +12,6 @@ package websyn
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -361,9 +360,9 @@ func BenchmarkRegistryFederateParallel(b *testing.B) {
 }
 
 // BenchmarkServeBatch drives one 256-query POST /v1/match through the
-// handler that serves it — body decode, the batch worker pool at 1 to 8
-// workers, response encode. The cache is disabled so the benchmark
-// measures matching throughput, not cache hits.
+// handler that serves it — body decode, the batch worker pool,
+// response encode. The cache is disabled so the benchmark measures
+// matching throughput, not cache hits.
 func BenchmarkServeBatch(b *testing.B) {
 	snap := movieSnapshot(b)
 	items := make([]MatchRequest, 256)
@@ -374,23 +373,18 @@ func BenchmarkServeBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			h := NewMatchServer(snap, ServeConfig{CacheSize: -1, BatchWorkers: workers}).Handler()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/match", bytes.NewReader(body)))
-				if rec.Code != http.StatusOK {
-					b.Fatalf("status %d: %s", rec.Code, rec.Body)
-				}
-			}
-			b.StopTimer()
-			qps := float64(b.N) * float64(len(items)) / b.Elapsed().Seconds()
-			b.ReportMetric(qps, "queries/s")
-		})
+	h := NewMatchServer(snap, ServeConfig{CacheSize: -1}).Handler()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/match", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
 	}
+	b.StopTimer()
+	qps := float64(b.N) * float64(len(items)) / b.Elapsed().Seconds()
+	b.ReportMetric(qps, "queries/s")
 }
 
 // BenchmarkEngineMatch times the unified engine across its three query
@@ -460,23 +454,6 @@ func BenchmarkSnapshotOpen(b *testing.B) {
 			if _, err := OpenSnapshotMapped(path); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-// BenchmarkFuzzyLookup measures whole-string fuzzy lookups of
-// misspelled queries on the trigram index.
-func BenchmarkFuzzyLookup(b *testing.B) {
-	snap := movieSnapshot(b)
-	queries := []string{
-		"madagascar2", "darkknight", "quantom of solace",
-		"indiana jnes", "kungfu panda", "iron mann",
-	}
-	b.Run("flat", func(b *testing.B) {
-		fi := snap.Dict.NewFuzzyIndex(snap.MinSim)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = fi.Lookup(queries[i%len(queries)], 5)
 		}
 	})
 }

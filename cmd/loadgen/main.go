@@ -28,14 +28,6 @@
 //
 //	loadgen -url ... -snapshot ... -qps 50 -duration 5s \
 //	    -report load.json -fail-on-error -max-p99 250ms
-//
-// -concurrency accepts a comma-separated sweep (e.g. 1,4,16,64): each
-// level runs the full -duration back to back, the JSON report becomes
-// {"levels": [...]} with one entry per level, -summary-md renders one
-// scaling table (throughput and p99 per level), and every gate applies
-// to every level individually:
-//
-//	loadgen -url ... -snapshot ... -concurrency 1,4,16,64 -duration 5s
 package main
 
 import (
@@ -47,7 +39,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -70,7 +61,7 @@ func main() {
 		url         = flag.String("url", "http://127.0.0.1:8080", "target server base URL")
 		qps         = flag.Float64("qps", 200, "target request rate (0 = unpaced)")
 		duration    = flag.Duration("duration", 10*time.Second, "how long to run")
-		concurrency = flag.String("concurrency", "8", "worker count, or a comma-separated sweep (e.g. 1,4,16,64): each level runs the full -duration back to back")
+		concurrency = flag.Int("concurrency", 8, "worker count")
 		timeout     = flag.Duration("timeout", 5*time.Second, "per-request timeout")
 		seed        = flag.Uint64("seed", 1, "workload shuffle seed")
 		reportPath  = flag.String("report", "", "write the JSON report to this file (default: stdout only)")
@@ -83,10 +74,8 @@ func main() {
 	if len(snapshots) == 0 {
 		log.Fatal("loadgen: -snapshot is required (the workload is derived from it)")
 	}
-
-	levels, err := parseConcurrency(*concurrency)
-	if err != nil {
-		log.Fatal(err)
+	if *concurrency <= 0 {
+		log.Fatalf("loadgen: bad -concurrency %d (want a positive integer)", *concurrency)
 	}
 
 	w, desc, err := buildWorkload(snapshots, *seed)
@@ -98,53 +87,27 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	reps := make([]*loadtest.Report, 0, len(levels))
-	for _, c := range levels {
-		if len(levels) > 1 {
-			log.Printf("sweep: %d workers for %v", c, *duration)
-		}
-		rep, err := loadtest.Run(ctx, w, loadtest.Options{
-			URL:         *url,
-			QPS:         *qps,
-			Duration:    *duration,
-			Concurrency: c,
-			Timeout:     *timeout,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		reps = append(reps, rep)
-		if ctx.Err() != nil {
-			// Interrupted mid-sweep: report what completed, skip the rest.
-			break
-		}
+	rep, err := loadtest.Run(ctx, w, loadtest.Options{
+		URL:         *url,
+		QPS:         *qps,
+		Duration:    *duration,
+		Concurrency: *concurrency,
+		Timeout:     *timeout,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	// A single level prints the report object itself — byte-identical to
-	// every earlier loadgen — while a sweep wraps one report per level.
-	var out []byte
-	if len(reps) == 1 {
-		out, err = json.MarshalIndent(reps[0], "", "  ")
-	} else {
-		out, err = json.MarshalIndent(struct {
-			Levels []*loadtest.Report `json:"levels"`
-		}{reps}, "", "  ")
-	}
+	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(string(out))
-	for _, rep := range reps {
-		label := ""
-		if len(reps) > 1 {
-			label = fmt.Sprintf("concurrency %d: ", rep.Concurrency)
-		}
-		for _, line := range breakdownLines("class", rep.LatencyByClass) {
-			log.Print(label + line)
-		}
-		for _, line := range breakdownLines("domain", rep.LatencyByDomain) {
-			log.Print(label + line)
-		}
+	for _, line := range breakdownLines("class", rep.LatencyByClass) {
+		log.Print(line)
+	}
+	for _, line := range breakdownLines("domain", rep.LatencyByDomain) {
+		log.Print(line)
 	}
 	if *reportPath != "" {
 		if err := os.WriteFile(*reportPath, append(out, '\n'), 0o644); err != nil {
@@ -157,11 +120,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		md := sweepMarkdown(reps)
-		if len(reps) == 1 {
-			md = summaryMarkdown(reps[0])
-		}
-		if _, err := f.WriteString(md); err != nil {
+		if _, err := f.WriteString(summaryMarkdown(rep)); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -170,54 +129,21 @@ func main() {
 		log.Printf("appended summary to %s", *summaryMD)
 	}
 
-	// Every gate applies per level: a sweep fails when any single level
-	// fails, and the FAIL lines name the level.
-	failed := false
-	for _, rep := range reps {
-		label := ""
-		if len(reps) > 1 {
-			label = fmt.Sprintf("concurrency %d: ", rep.Concurrency)
-		}
-		if gateReport(rep, w, label, requireClasses, *failOnError, *minRequests, *maxP99) {
-			failed = true
-		}
-	}
-	if failed {
+	if gateReport(rep, w, requireClasses, *failOnError, *minRequests, *maxP99) {
 		os.Exit(1)
 	}
 }
 
-// parseConcurrency expands the -concurrency flag into worker counts:
-// one integer, or a comma-separated sweep.
-func parseConcurrency(v string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(v, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("loadgen: bad -concurrency level %q (want a positive integer)", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("loadgen: -concurrency %q names no levels", v)
-	}
-	return out, nil
-}
-
-// gateReport applies the CI gates to one level's report, logging each
-// violation with the level's label. Returns true when any gate failed.
-func gateReport(rep *loadtest.Report, w *loadtest.Workload, label string, requireClasses []string, failOnError bool, minRequests uint64, maxP99 time.Duration) bool {
+// gateReport applies the CI gates to the report, logging each violation.
+// Returns true when any gate failed.
+func gateReport(rep *loadtest.Report, w *loadtest.Workload, requireClasses []string, failOnError bool, minRequests uint64, maxP99 time.Duration) bool {
 	failed := false
 	if failOnError && rep.Failed() {
-		log.Printf("%sFAIL: %d transport errors, %d non-200 responses", label, rep.Errors, rep.Non200)
+		log.Printf("FAIL: %d transport errors, %d non-200 responses", rep.Errors, rep.Non200)
 		failed = true
 	}
 	if completed := rep.Requests - rep.Errors; minRequests > 0 && completed < minRequests {
-		log.Printf("%sFAIL: only %d requests completed, floor is %d", label, completed, minRequests)
+		log.Printf("FAIL: only %d requests completed, floor is %d", completed, minRequests)
 		failed = true
 	}
 	// A workload that silently stopped generating a class (e.g. a
@@ -225,7 +151,7 @@ func gateReport(rep *loadtest.Report, w *loadtest.Workload, label string, requir
 	// otherwise pass every latency gate while covering nothing.
 	for _, c := range requireClasses {
 		if rep.ByClass[c] == 0 {
-			log.Printf("%sFAIL: class %s completed no requests", label, c)
+			log.Printf("FAIL: class %s completed no requests", c)
 			failed = true
 		}
 	}
@@ -235,10 +161,10 @@ func gateReport(rep *loadtest.Report, w *loadtest.Workload, label string, requir
 		// like a fast one.
 		bound := float64(maxP99) / float64(time.Millisecond)
 		if rep.Requests == rep.Errors {
-			log.Printf("%sFAIL: no request completed, p99 bound %v unmeasurable", label, maxP99)
+			log.Printf("FAIL: no request completed, p99 bound %v unmeasurable", maxP99)
 			failed = true
 		} else if rep.Latency.P99 > bound {
-			log.Printf("%sFAIL: p99 %.2fms exceeds bound %v", label, rep.Latency.P99, maxP99)
+			log.Printf("FAIL: p99 %.2fms exceeds bound %v", rep.Latency.P99, maxP99)
 			failed = true
 		}
 		// A mixed-domain run also gates every domain individually, so a
@@ -248,12 +174,12 @@ func gateReport(rep *loadtest.Report, w *loadtest.Workload, label string, requir
 		for _, d := range sortedKeys(workloadDomains(w)) {
 			p, ok := rep.LatencyByDomain[d]
 			if !ok {
-				log.Printf("%sFAIL: domain %s completed no requests, p99 bound %v unmeasurable", label, d, maxP99)
+				log.Printf("FAIL: domain %s completed no requests, p99 bound %v unmeasurable", d, maxP99)
 				failed = true
 				continue
 			}
 			if p.P99 > bound {
-				log.Printf("%sFAIL: domain %s p99 %.2fms exceeds bound %v", label, d, p.P99, maxP99)
+				log.Printf("FAIL: domain %s p99 %.2fms exceeds bound %v", d, p.P99, maxP99)
 				failed = true
 			}
 		}
@@ -354,25 +280,6 @@ func summaryMarkdown(rep *loadtest.Report) string {
 	}
 	writeBreakdown("Class", rep.ByClass, rep.LatencyByClass)
 	writeBreakdown("Domain", rep.ByDomain, rep.LatencyByDomain)
-	return b.String()
-}
-
-// sweepMarkdown renders a concurrency sweep as one table: throughput
-// and tail latency per worker level, the scaling curve at a glance.
-func sweepMarkdown(reps []*loadtest.Report) string {
-	var b strings.Builder
-	if len(reps) == 0 {
-		return ""
-	}
-	fmt.Fprintf(&b, "### Load sweep — %s\n\n", reps[0].URL)
-	fmt.Fprintf(&b, "| Concurrency | Requests | Errors | QPS | p50 | p95 | p99 | max |\n")
-	fmt.Fprintf(&b, "|---:|---:|---:|---:|---:|---:|---:|---:|\n")
-	for _, rep := range reps {
-		fmt.Fprintf(&b, "| %d | %d | %d | %.0f | %.2fms | %.2fms | %.2fms | %.2fms |\n",
-			rep.Concurrency, rep.Requests, rep.Errors+rep.Non200, rep.AchievedQPS,
-			rep.Latency.P50, rep.Latency.P95, rep.Latency.P99, rep.Latency.Max)
-	}
-	b.WriteString("\n")
 	return b.String()
 }
 

@@ -28,11 +28,9 @@
 //	matchd -snapshot dict.snap
 //
 // Multi-domain mode — one process serving several verticals, each
-// hot-reloadable on its own. Repeat -snapshot with name=path pairs, or
-// point -manifest at a file of such lines:
+// hot-reloadable on its own. Repeat -snapshot with name=path pairs:
 //
-//	matchd -snapshot movies=movies.snap -snapshot cameras=cameras.snap
-//	matchd -manifest domains.manifest [-default-domain movies]
+//	matchd -snapshot movies=movies.snap -snapshot cameras=cameras.snap [-default-domain movies]
 //
 // In multi-domain mode /v1/match routes on the request's "domain" field,
 // fans out across "domains" (["*"] = all), and federates domainless
@@ -48,9 +46,9 @@
 //
 //	matchd -dataset movies -write-snapshot dict.snap
 //
-// Serving knobs: [-addr :8080] [-cache 4096] [-cache-shards N]
-// [-batch-workers N] [-max-batch 1024] [-fuzzy-limit 5] [-min-sim 0.55]
-// [-drain-timeout 15s] [-mmap] [-pprof]
+// Serving knobs: [-addr :8080] [-cache 4096] [-max-batch 1024]
+// [-drain-timeout 15s] [-mmap] [-pprof]. The fuzzy similarity threshold
+// is the one cmd/dictbuild stored in the snapshot.
 //
 // -pprof mounts /debug/pprof/ with mutex and block profiling on, the
 // lock-contention debugging surface (docs/PERFORMANCE.md).
@@ -77,7 +75,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -111,7 +108,6 @@ func main() {
 	flag.Var(&snapshots, "snapshot", "snapshot to serve: a path (single-domain), or name=path (repeatable, multi-domain)")
 	var (
 		addr           = flag.String("addr", ":8080", "listen address")
-		manifest       = flag.String("manifest", "", "file of name=path snapshot lines (multi-domain boot; '#' comments)")
 		defaultDomain  = flag.String("default-domain", "", "domain legacy endpoints route to (default: first registered)")
 		writeSnapshot  = flag.String("write-snapshot", "", "mine, write a snapshot to this path, and exit")
 		dataset        = flag.String("dataset", "movies", "data set to mine when not using -snapshot: movies, cameras or software")
@@ -119,11 +115,7 @@ func main() {
 		icr            = flag.Float64("icr", 0.1, "ICR threshold γ (mining)")
 		seed           = flag.Uint64("seed", 0, "simulation seed (0 = default)")
 		cacheSize      = flag.Int("cache", 0, "request-cache capacity in entries, per domain (0 = default 4096, negative = disabled)")
-		cacheShards    = flag.Int("cache-shards", 0, "request-cache lock stripes, rounded down to a power of two (0 = one per CPU, min 8 entries per shard)")
-		batchWorkers   = flag.Int("batch-workers", 0, "worker-pool size for batch requests (0 = GOMAXPROCS)")
 		maxBatch       = flag.Int("max-batch", 0, "max queries per batch request (0 = default 1024)")
-		fuzzyLimit     = flag.Int("fuzzy-limit", 5, "max hits returned by /fuzzy")
-		minSim         = flag.Float64("min-sim", 0, "fuzzy similarity threshold override (0 = snapshot's value)")
 		useMmap        = flag.Bool("mmap", false, "memory-map snapshot files: near-instant boot, fuzzy postings served from the page cache (requires -snapshot)")
 		drainTimeout   = flag.Duration("drain-timeout", 15*time.Second, "how long to drain in-flight requests on shutdown")
 		reloadInterval = flag.Duration("reload-interval", 0, "poll snapshot files for changes this often and hot-swap (0 = admin-triggered reloads only; requires -snapshot)")
@@ -135,19 +127,12 @@ func main() {
 	)
 	flag.Parse()
 
-	specs, err := resolveSpecs(snapshots, *manifest)
+	specs, err := resolveSpecs(snapshots)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	cfg := websyn.ServeConfig{
-		CacheSize:    *cacheSize,
-		CacheShards:  *cacheShards,
-		BatchWorkers: *batchWorkers,
-		MaxBatch:     *maxBatch,
-		FuzzyLimit:   *fuzzyLimit,
-		MinSim:       *minSim,
-	}
+	cfg := websyn.ServeConfig{CacheSize: *cacheSize, MaxBatch: *maxBatch}
 
 	// Fail flag misuse fast, before the (potentially minutes-long)
 	// mine-at-startup path runs: hot reload watches snapshot files, so
@@ -268,63 +253,28 @@ func main() {
 	}
 }
 
-// resolveSpecs merges -snapshot flags and the -manifest file into one
-// spec list. Bare paths (no '=') select legacy single-domain mode and
-// cannot be mixed with named domains.
-func resolveSpecs(flags multiFlag, manifest string) ([]domainSpec, error) {
+// resolveSpecs turns the -snapshot flags into one spec list. Bare paths
+// (no '=') select legacy single-domain mode and cannot be mixed with
+// named domains.
+func resolveSpecs(flags multiFlag) ([]domainSpec, error) {
 	var specs []domainSpec
 	bare := 0
-	addFlag := func(v, origin string) error {
+	for _, v := range flags {
 		if name, path, ok := strings.Cut(v, "="); ok {
 			name, path = strings.TrimSpace(name), strings.TrimSpace(path)
 			if name == "" || path == "" {
-				return fmt.Errorf("matchd: bad snapshot spec %q in %s (want name=path)", v, origin)
+				return nil, fmt.Errorf("matchd: bad snapshot spec %q in -snapshot (want name=path)", v)
 			}
 			specs = append(specs, domainSpec{name, path})
-			return nil
+			continue
 		}
 		bare++
 		specs = append(specs, domainSpec{"", strings.TrimSpace(v)})
-		return nil
-	}
-	for _, v := range flags {
-		if err := addFlag(v, "-snapshot"); err != nil {
-			return nil, err
-		}
-	}
-	if manifest != "" {
-		f, err := os.Open(manifest)
-		if err != nil {
-			return nil, fmt.Errorf("matchd: opening manifest: %w", err)
-		}
-		defer f.Close()
-		sc := bufio.NewScanner(f)
-		for lineNo := 1; sc.Scan(); lineNo++ {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			if !strings.Contains(line, "=") {
-				return nil, fmt.Errorf("matchd: %s:%d: want name=path, got %q", manifest, lineNo, line)
-			}
-			if err := addFlag(line, manifest); err != nil {
-				return nil, err
-			}
-		}
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("matchd: reading manifest: %w", err)
-		}
-		// An empty manifest must not fall through to mine-at-startup —
-		// that would silently serve a freshly mined dictionary where the
-		// operator expected production snapshots.
-		if len(specs) == 0 {
-			return nil, fmt.Errorf("matchd: manifest %s declares no domains", manifest)
-		}
 	}
 	if bare > 0 && (bare > 1 || len(specs) > 1) {
 		return nil, fmt.Errorf("matchd: multiple snapshots need domain names (-snapshot name=path)")
 	}
-	// Duplicate domains fail here with file context, not deep in Add.
+	// Duplicate domains fail here with flag context, not deep in Add.
 	seen := map[string]bool{}
 	for _, s := range specs {
 		if s.name != "" && seen[s.name] {

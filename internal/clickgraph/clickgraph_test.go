@@ -105,20 +105,6 @@ func TestReverseEdgesMirrorForward(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	g := Build(demoLog())
-	s := g.ComputeStats()
-	if s.Queries != 2 || s.Pages != 3 || s.Edges != 4 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.TotalClicks != 7 {
-		t.Fatalf("total clicks = %d", s.TotalClicks)
-	}
-	if s.MaxQueryDeg != 2 || s.MaxPageDeg != 2 {
-		t.Fatalf("degrees = %d/%d", s.MaxQueryDeg, s.MaxPageDeg)
-	}
-}
-
 func TestEmptyLog(t *testing.T) {
 	g := Build(clicklog.NewLog())
 	if g.NumQueries() != 0 || g.NumPages() != 0 || g.NumEdges() != 0 {

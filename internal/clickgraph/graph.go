@@ -120,31 +120,3 @@ func (g *Graph) QueryClicks(queryNode int) int { return g.qTotal[queryNode] }
 
 // PageClicks returns the total incoming click count of a page node.
 func (g *Graph) PageClicks(pageNode int) int { return g.pTotal[pageNode] }
-
-// Stats summarizes the graph for reports and tests.
-type Stats struct {
-	Queries     int
-	Pages       int
-	Edges       int
-	TotalClicks int
-	MaxQueryDeg int
-	MaxPageDeg  int
-}
-
-// ComputeStats returns summary statistics.
-func (g *Graph) ComputeStats() Stats {
-	s := Stats{Queries: len(g.queries), Pages: len(g.pages)}
-	for qi := range g.queries {
-		s.Edges += len(g.q2p[qi])
-		s.TotalClicks += g.qTotal[qi]
-		if d := len(g.q2p[qi]); d > s.MaxQueryDeg {
-			s.MaxQueryDeg = d
-		}
-	}
-	for pi := range g.pages {
-		if d := len(g.p2q[pi]); d > s.MaxPageDeg {
-			s.MaxPageDeg = d
-		}
-	}
-	return s
-}

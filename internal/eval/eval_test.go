@@ -185,17 +185,6 @@ func TestLabelBreakdown(t *testing.T) {
 	}
 }
 
-func TestFormatHitExpansion(t *testing.T) {
-	s := FormatHitExpansion("Movies", "Us", HitExpansion{
-		Orig: 100, Hits: 99, HitRatio: 0.99, Synonyms: 437, Expansion: 5.37,
-	})
-	for _, want := range []string{"Movies", "Us", "99", "437", "537"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("formatted row %q missing %q", s, want)
-		}
-	}
-}
-
 func TestRenderersProduceTables(t *testing.T) {
 	fig2 := RenderFigure2([]Fig2Point{{Beta: 4, Syns: 10, Precision: 0.5, Weighted: 0.6, Coverage: 1.2}})
 	if !strings.Contains(fig2, "Figure 2") || !strings.Contains(fig2, "120.0%") {

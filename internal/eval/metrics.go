@@ -18,7 +18,6 @@
 package eval
 
 import (
-	"fmt"
 	"sort"
 
 	"websyn/internal/alias"
@@ -182,11 +181,4 @@ func LabelBreakdown(model *alias.Model, o *Output) map[alias.Label]int {
 		}
 	}
 	return counts
-}
-
-// FormatHitExpansion renders one Table I row in the paper's layout.
-func FormatHitExpansion(dataset, system string, he HitExpansion) string {
-	return fmt.Sprintf("%-8s %-10s %5d %5d %6.1f%% %7d %7.0f%%",
-		dataset, system, he.Orig, he.Hits, he.HitRatio*100,
-		he.Synonyms, he.Expansion*100)
 }

@@ -109,8 +109,14 @@ func TestRouterBatchAndSemanticErrors(t *testing.T) {
 	}
 
 	// Request-level misuse stays 4xx.
-	if status, _ := postMatch(t, hs.URL, `{"nope": 1}`); status != http.StatusBadRequest {
-		t.Errorf("unknown field: HTTP %d, want 400", status)
+	for name, body := range map[string]string{
+		"unknown field":    `{"nope": 1}`,
+		"second value":     `{"query": "indy 4"}{"query": "twilight"}`,
+		"trailing garbage": `{"query": "indy 4"} garbage`,
+	} {
+		if status, _ := postMatch(t, hs.URL, body); status != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400", name, status)
+		}
 	}
 }
 

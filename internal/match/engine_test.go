@@ -324,17 +324,18 @@ func TestEngineTimingPopulated(t *testing.T) {
 func TestCandidatesDedupeByEntity(t *testing.T) {
 	d := demoDict()
 	// Entity 1 is mentioned twice ("indy 4" score 0.9, "indiana jones 4"
-	// score 0.95): Candidates must return it once, under the best span.
-	cs := d.Candidates("indy 4 vs indiana jones 4")
-	if len(cs) != 1 {
-		t.Fatalf("candidates = %+v", cs)
+	// score 0.95): each mention is its own span, scored by its own entry.
+	seg := d.Segment("indy 4 vs indiana jones 4")
+	if len(seg.Matches) != 2 {
+		t.Fatalf("matches = %+v", seg.Matches)
 	}
-	if cs[0].EntityID != 1 || cs[0].Text != "indiana jones 4" || cs[0].Score != 0.95 {
-		t.Fatalf("kept span = %+v", cs[0])
+	for i, want := range []Match{{EntityID: 1, Text: "indy 4", Score: 0.9}, {EntityID: 1, Text: "indiana jones 4", Score: 0.95}} {
+		if m := seg.Matches[i]; m.EntityID != want.EntityID || m.Text != want.Text || m.Score != want.Score {
+			t.Fatalf("match %d = %+v, want %+v", i, m, want)
+		}
 	}
-	// Distinct entities still all appear.
-	cs = d.Candidates("indy 4 twilight")
-	if len(cs) != 2 {
-		t.Fatalf("distinct entities deduped: %+v", cs)
+	// Distinct entities all appear.
+	if seg := d.Segment("indy 4 twilight"); len(seg.Matches) != 2 {
+		t.Fatalf("distinct entities dropped: %+v", seg.Matches)
 	}
 }

@@ -506,20 +506,6 @@ func (fi *FuzzyIndex) lookupArena(sc *Scratch, norm string, limit int) []arenaHi
 	return out
 }
 
-// BestEntity resolves a query to a single entity: an exact dictionary
-// hit first, then the top fuzzy hit's best entry. The second result
-// reports success.
-func (fi *FuzzyIndex) BestEntity(query string) (Entry, bool) {
-	if es := fi.dict.Lookup(query); len(es) > 0 {
-		return es[0], true
-	}
-	hits := fi.Lookup(query, 1)
-	if len(hits) == 0 || len(hits[0].Entries) == 0 {
-		return Entry{}, false
-	}
-	return hits[0].Entries[0], true
-}
-
 // joinTokens joins normalized tokens with single spaces.
 func joinTokens(tokens []string) string {
 	n := 0

@@ -118,21 +118,6 @@ func TestFuzzyShortQueryFallsBackToExact(t *testing.T) {
 	}
 }
 
-func TestBestEntity(t *testing.T) {
-	fi := demoDict().NewFuzzyIndex(0.55)
-	e, ok := fi.BestEntity("350d")
-	if !ok || e.EntityID != 2 {
-		t.Fatalf("exact BestEntity = %+v, %v", e, ok)
-	}
-	e, ok = fi.BestEntity("madagascar2")
-	if !ok || e.EntityID != 4 {
-		t.Fatalf("fuzzy BestEntity = %+v, %v", e, ok)
-	}
-	if _, ok := fi.BestEntity("nothing here"); ok {
-		t.Fatal("irrelevant query resolved")
-	}
-}
-
 func TestForEachOrderedAndComplete(t *testing.T) {
 	d := demoDict()
 	var texts []string
@@ -151,13 +136,5 @@ func TestForEachOrderedAndComplete(t *testing.T) {
 	}
 	if !reflect.DeepEqual(texts, d.Strings()) {
 		t.Fatal("Strings() disagrees with ForEach")
-	}
-}
-
-func BenchmarkFuzzyLookup(b *testing.B) {
-	fi := demoDict().NewFuzzyIndex(0.55)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = fi.Lookup("madagascar2 dvd release", 3)
 	}
 }

@@ -129,8 +129,26 @@ func TestSegmentNoMatch(t *testing.T) {
 	if seg.Remainder != "weather in seattle" {
 		t.Fatalf("remainder = %q", seg.Remainder)
 	}
-	if seg.Best() != nil {
-		t.Fatal("Best on empty segmentation should be nil")
+}
+
+func TestMatchQuery(t *testing.T) {
+	d := demoDict()
+	// A mined alias mid-query, with remainder on both sides.
+	seg := d.Segment("buy digital rebel xt online")
+	if len(seg.Matches) != 1 || seg.Matches[0].EntityID != 2 || seg.Remainder != "buy online" {
+		t.Fatalf("segmentation = %+v", seg)
+	}
+	if seg := d.Segment("nothing relevant"); len(seg.Matches) != 0 {
+		t.Fatalf("irrelevant query matched: %+v", seg.Matches)
+	}
+}
+
+func TestCandidatesOrdering(t *testing.T) {
+	d := demoDict()
+	// Spans come back in query order, each entity under its own score.
+	seg := d.Segment("indy 4 twilight")
+	if len(seg.Matches) != 2 || seg.Matches[0].EntityID != 1 || seg.Matches[1].EntityID != 3 || seg.Remainder != "" {
+		t.Fatalf("segmentation = %+v", seg)
 	}
 }
 
@@ -155,28 +173,6 @@ func TestShortTokensNotCorrected(t *testing.T) {
 	// "35d" is a 3-char token: must not fuzzy-match "350d".
 	if seg := d.Segment("35d lens"); len(seg.Matches) != 0 {
 		t.Fatalf("short token corrected: %+v", seg.Matches)
-	}
-}
-
-func TestMatchQuery(t *testing.T) {
-	d := demoDict()
-	m, ok := d.MatchQuery("buy digital rebel xt online")
-	if !ok || m.EntityID != 2 {
-		t.Fatalf("MatchQuery = %+v, %v", m, ok)
-	}
-	if _, ok := d.MatchQuery("nothing relevant"); ok {
-		t.Fatal("irrelevant query matched")
-	}
-}
-
-func TestCandidatesOrdering(t *testing.T) {
-	d := demoDict()
-	cs := d.Candidates("indy 4 twilight")
-	if len(cs) != 2 {
-		t.Fatalf("candidates = %+v", cs)
-	}
-	if cs[0].Score < cs[1].Score {
-		t.Fatal("candidates not sorted by score")
 	}
 }
 

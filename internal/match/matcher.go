@@ -1,7 +1,6 @@
 package match
 
 import (
-	"sort"
 	"strings"
 
 	"websyn/internal/textnorm"
@@ -34,19 +33,6 @@ type Segmentation struct {
 	Matches []Match
 	// Remainder is the query text outside all matched spans, in order.
 	Remainder string
-}
-
-// Best returns the highest-scoring match, or nil.
-func (s *Segmentation) Best() *Match {
-	var best *Match
-	for i := range s.Matches {
-		m := &s.Matches[i]
-		if best == nil || m.Score > best.Score ||
-			(m.Score == best.Score && m.End-m.Start > best.End-best.Start) {
-			best = m
-		}
-	}
-	return best
 }
 
 // Segment finds entity mentions in a free-text query. It scans left to
@@ -127,43 +113,4 @@ func (d *Dictionary) longestFrom(tokens []string, start int) (best *trieNode, en
 		}
 	}
 	return best, end, bestCorrected
-}
-
-// MatchQuery is the one-call form: segment and return the best entity
-// match, or ok=false when the query mentions no known entity.
-func (d *Dictionary) MatchQuery(query string) (Match, bool) {
-	seg := d.Segment(query)
-	best := seg.Best()
-	if best == nil {
-		return Match{}, false
-	}
-	return *best, true
-}
-
-// Candidates returns every entity mentioned in the query with its best
-// score, strongest first — useful when a query is genuinely ambiguous.
-// An entity mentioned in several spans appears once, under its
-// best-scoring span (ties go to the longer, then the earlier span).
-func (d *Dictionary) Candidates(query string) []Match {
-	seg := d.Segment(query)
-	best := make(map[int]Match, len(seg.Matches))
-	for _, m := range seg.Matches {
-		prev, ok := best[m.EntityID]
-		if !ok || m.Score > prev.Score ||
-			(m.Score == prev.Score && (m.End-m.Start > prev.End-prev.Start ||
-				(m.End-m.Start == prev.End-prev.Start && m.Start < prev.Start))) {
-			best[m.EntityID] = m
-		}
-	}
-	out := make([]Match, 0, len(best))
-	for _, m := range best {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Start < out[j].Start
-	})
-	return out
 }

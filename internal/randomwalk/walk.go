@@ -144,7 +144,11 @@ func (w *Walker) Walk(input string) []Ranked {
 	for step := 0; step < w.cfg.Steps; step++ {
 		nextQ := make(map[int]float64, len(qDist))
 		nextP := make(map[int]float64, len(pDist))
-		for qn, mass := range qDist {
+		// Sources are visited in node order: float sums depend on the order
+		// of their terms, and map order would make a walk's scores (and so
+		// its ranking at near-ties) differ from run to run.
+		for _, qn := range sortedNodes(qDist) {
+			mass := qDist[qn]
 			nextQ[qn] += s * mass
 			spread := (1 - s) * mass
 			for _, e := range w.graph.PagesOf(qn) {
@@ -160,7 +164,8 @@ func (w *Walker) Walk(input string) []Ranked {
 				nextP[e.To] += spread * float64(e.Count) / total
 			}
 		}
-		for pn, mass := range pDist {
+		for _, pn := range sortedNodes(pDist) {
+			mass := pDist[pn]
 			nextP[pn] += s * mass
 			spread := (1 - s) * mass
 			for _, e := range w.graph.QueriesOf(pn) {
@@ -196,4 +201,15 @@ func (w *Walker) Walk(input string) []Ranked {
 		ranked = ranked[:w.cfg.MaxSynonyms]
 	}
 	return ranked
+}
+
+// sortedNodes returns the node indexes of a mass distribution in
+// ascending order.
+func sortedNodes(dist map[int]float64) []int {
+	nodes := make([]int, 0, len(dist))
+	for n := range dist {
+		nodes = append(nodes, n)
+	}
+	sort.Ints(nodes)
+	return nodes
 }

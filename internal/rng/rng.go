@@ -154,33 +154,6 @@ func (s *Source) Geometric(p float64) int {
 	return n
 }
 
-// Poisson returns a Poisson(lambda) sample using Knuth's method for small
-// lambda and a normal approximation above 64 (simulator click counts stay
-// small, so the approximation branch is rarely exercised but keeps the call
-// O(1) in the worst case).
-func (s *Source) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 64 {
-		// Normal approximation with continuity correction.
-		v := lambda + s.Norm()*math.Sqrt(lambda) + 0.5
-		if v < 0 {
-			return 0
-		}
-		return int(v)
-	}
-	// Knuth: multiply uniforms until the product drops below e^-lambda.
-	limit := math.Exp(-lambda)
-	n := 0
-	prod := s.Float64()
-	for prod > limit {
-		n++
-		prod *= s.Float64()
-	}
-	return n
-}
-
 // Norm returns a standard normal sample.
 func (s *Source) Norm() float64 {
 	// Polar (Marsaglia) variant: rejection-samples a point in the unit disc.

@@ -202,30 +202,6 @@ func TestGeometricMean(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	s := New(37)
-	for _, lambda := range []float64{0.5, 2, 10, 80} {
-		sum := 0
-		const n = 20000
-		for i := 0; i < n; i++ {
-			sum += s.Poisson(lambda)
-		}
-		mean := float64(sum) / n
-		if math.Abs(mean-lambda) > 0.1*lambda+0.1 {
-			t.Errorf("Poisson(%v) mean = %v", lambda, mean)
-		}
-	}
-}
-
-func TestPoissonZeroLambda(t *testing.T) {
-	if got := New(1).Poisson(0); got != 0 {
-		t.Fatalf("Poisson(0) = %d", got)
-	}
-	if got := New(1).Poisson(-3); got != 0 {
-		t.Fatalf("Poisson(-3) = %d", got)
-	}
-}
-
 func TestNormMoments(t *testing.T) {
 	s := New(41)
 	sum, sumSq := 0.0, 0.0

@@ -18,8 +18,7 @@ import (
 // cumulative table with binary search is both simple and fast (one Float64,
 // one binary search per sample).
 type Zipf struct {
-	cdf      []float64
-	exponent float64
+	cdf []float64
 }
 
 // NewZipf builds a bounded Zipf sampler over n ranks with the given exponent.
@@ -41,14 +40,11 @@ func NewZipf(n int, exponent float64) *Zipf {
 		cdf[i] /= sum
 	}
 	cdf[n-1] = 1.0 // guard against float drift
-	return &Zipf{cdf: cdf, exponent: exponent}
+	return &Zipf{cdf: cdf}
 }
 
 // N returns the number of ranks.
 func (z *Zipf) N() int { return len(z.cdf) }
-
-// Exponent returns the configured skew exponent.
-func (z *Zipf) Exponent() float64 { return z.exponent }
 
 // Sample draws a rank in [0, n) using randomness from src.
 func (z *Zipf) Sample(src *Source) int {

@@ -190,7 +190,7 @@ func TestSingleflightCollapsesMisses(t *testing.T) {
 // -race this is the data-race proof for the sharded CLOCK cache and
 // flight group under install churn.
 func TestCacheStormAcrossInstall(t *testing.T) {
-	s := NewServer(probeSnapshot(0), Config{CacheSize: 128, CacheShards: 4})
+	s := NewServer(probeSnapshot(0), Config{CacheSize: 128})
 	hot := match.Request{Query: "probe target tickets"}
 
 	stop := make(chan struct{})

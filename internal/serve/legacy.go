@@ -76,7 +76,7 @@ func (s *Server) matchGen(g *generation, query string) MatchResult {
 func (s *Server) legacyBatch(queries []string) []MatchResult {
 	g := s.gen.Load()
 	out := make([]MatchResult, len(queries))
-	runPool(s.reg.cfg.BatchWorkers, len(queries), func(i int) {
+	runPool(s.reg.workers, len(queries), func(i int) {
 		out[i] = s.matchGen(g, queries[i])
 	})
 	return out
@@ -136,6 +136,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, BatchResponse{Count: len(results), Results: results})
 }
 
+// legacyFuzzyHits is the number of hits /fuzzy returns.
+const legacyFuzzyHits = 5
+
 // FuzzyResult is the JSON shape of /fuzzy.
 type FuzzyResult struct {
 	Query string     `json:"query"`
@@ -158,11 +161,7 @@ func (s *Server) handleFuzzy(w http.ResponseWriter, r *http.Request) {
 	}
 	s.fuzzyReqs.Add(1)
 	res := FuzzyResult{Query: q}
-	limit := s.reg.cfg.FuzzyLimit
-	if limit > match.MaxTopK {
-		limit = match.MaxTopK
-	}
-	eres, _, err := s.doGen(s.gen.Load(), match.Request{Query: q, Mode: match.ModeFuzzy, TopK: limit})
+	eres, _, err := s.doGen(s.gen.Load(), match.Request{Query: q, Mode: match.ModeFuzzy, TopK: legacyFuzzyHits})
 	if err == nil {
 		for _, m := range eres.Matches {
 			res.Hits = append(res.Hits, FuzzyHit{

@@ -6,6 +6,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -53,6 +54,7 @@ import (
 // registry from NewRegistry never has it.
 type Registry struct {
 	cfg        Config
+	workers    int // batch and fan-out pool size: GOMAXPROCS at construction
 	start      time.Time
 	domains    map[string]*Server
 	names      []string // registration order — the deterministic fan-out order
@@ -90,6 +92,7 @@ type meters struct {
 func NewRegistry(cfg Config) *Registry {
 	reg := &Registry{
 		cfg:     cfg.withDefaults(),
+		workers: runtime.GOMAXPROCS(0),
 		start:   time.Now(),
 		domains: make(map[string]*Server),
 	}
@@ -98,7 +101,7 @@ func NewRegistry(cfg Config) *Registry {
 }
 
 // validDomainName rejects names the routing grammar reserves: "*" is
-// the fan-out wildcard, '=' and ',' are flag/manifest syntax, and
+// the fan-out wildcard, '=' and ',' are flag syntax, and
 // whitespace would make URLs and logs ambiguous.
 func validDomainName(name string) error {
 	if name == "" {
@@ -337,7 +340,7 @@ func (reg *Registry) handleMatch(ver apiVersion) http.HandlerFunc {
 		m.queries.Add(uint64(len(items)))
 		t0 := time.Now()
 		results := make([]V1Result, len(items))
-		runPool(reg.cfg.BatchWorkers, len(items), func(i int) {
+		runPool(reg.workers, len(items), func(i int) {
 			results[i] = reg.routeItem(rt, items[i])
 		})
 		m.lat.observe(time.Since(t0))
@@ -448,7 +451,7 @@ func (reg *Registry) federate(targets []target, it match.Request) V1Result {
 			legs[i].res, legs[i].cached, legs[i].err = targets[i].do(it)
 		}
 	} else {
-		runPool(reg.cfg.BatchWorkers, len(targets), func(i int) {
+		runPool(reg.workers, len(targets), func(i int) {
 			legs[i].res, legs[i].cached, legs[i].err = targets[i].do(it)
 		})
 	}

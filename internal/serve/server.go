@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -17,27 +16,17 @@ import (
 )
 
 // Config tunes a Server. The zero value picks sensible production
-// defaults; see each field.
+// defaults; see each field. The request cache is split into one lock
+// stripe per CPU (see cacheShardCount), batches fan out on GOMAXPROCS
+// workers, and the Dice-similarity threshold is the snapshot's own.
 type Config struct {
 	// CacheSize is the request-cache capacity in entries (across all
 	// shards). 0 means DefaultCacheSize; negative disables caching.
 	CacheSize int
-	// CacheShards is the number of lock stripes the request cache is
-	// split into, rounded down to a power of two. 0 means one shard per
-	// CPU (GOMAXPROCS), capped so each shard holds at least 8 entries.
-	CacheShards int
-	// BatchWorkers bounds the worker pool batch requests fan out on.
-	// 0 means GOMAXPROCS.
-	BatchWorkers int
 	// MaxBatch is the largest number of queries one batch request may
 	// carry (legacy /match/batch and /v1/match alike). 0 means
 	// DefaultMaxBatch.
 	MaxBatch int
-	// FuzzyLimit is the number of hits /fuzzy returns. 0 means 5.
-	FuzzyLimit int
-	// MinSim overrides the snapshot's Dice-similarity threshold when
-	// positive.
-	MinSim float64
 }
 
 // Defaults for Config's zero values.
@@ -51,14 +40,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = DefaultCacheSize
 	}
-	if c.BatchWorkers <= 0 {
-		c.BatchWorkers = runtime.GOMAXPROCS(0)
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.FuzzyLimit <= 0 {
-		c.FuzzyLimit = 5
 	}
 	return c
 }
@@ -200,31 +183,26 @@ func (s *Server) Prepare(snap *Snapshot, meta SnapshotMeta) (*Generation, error)
 		meta.Version = snap.Version
 	}
 	t0 := time.Now()
-	cfg := s.reg.cfg
-	minSim := snap.MinSim
-	if cfg.MinSim > 0 {
-		minSim = cfg.MinSim
-	}
 	var fuzzy *match.FuzzyIndex
 	if snap.Fuzzy != nil {
 		// The index aliases the snapshot's posting slabs — zero-copy, and
 		// for an mmap-backed snapshot shared with the page cache.
 		var err error
-		if fuzzy, err = snap.Dict.NewFuzzyIndexFromPacked(snap.Fuzzy, minSim); err != nil {
+		if fuzzy, err = snap.Dict.NewFuzzyIndexFromPacked(snap.Fuzzy, snap.MinSim); err != nil {
 			// A checksummed snapshot should never get here; fall back to
 			// a clean rebuild (fuzzy is nil) rather than refusing to serve.
 			log.Printf("serve: rebuilding fuzzy index, embedded one unusable: %v", err)
 		}
 	}
 	if fuzzy == nil {
-		fuzzy = snap.Dict.NewFuzzyIndex(minSim)
+		fuzzy = snap.Dict.NewFuzzyIndex(snap.MinSim)
 	}
-	engine := match.NewEngine(snap.Dict, fuzzy, snap.Canonicals, minSim)
+	engine := match.NewEngine(snap.Dict, fuzzy, snap.Canonicals, snap.MinSim)
 	if snap.Vocab != nil {
 		// The attribute rewriter only runs on requests that opt in
 		// (Rewrite, set by the /v2 surface), so attaching it cannot
 		// change a /v1 response.
-		engine.SetRewriter(rewrite.NewRewriter(snap.Vocab, minSim))
+		engine.SetRewriter(rewrite.NewRewriter(snap.Vocab, snap.MinSim))
 	}
 	g := &generation{
 		dataset:    snap.Dataset,
@@ -235,7 +213,7 @@ func (s *Server) Prepare(snap *Snapshot, meta SnapshotMeta) (*Generation, error)
 		canonicals: snap.Canonicals,
 		byNorm:     make(map[string]int, len(snap.Canonicals)),
 		synonyms:   snap.Synonyms,
-		cache:      newRequestCache(cfg.CacheSize, cfg.CacheShards),
+		cache:      newRequestCache(s.reg.cfg.CacheSize, 0),
 	}
 	for id, c := range snap.Canonicals {
 		g.byNorm[textnorm.Normalize(c)] = id

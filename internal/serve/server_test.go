@@ -51,7 +51,7 @@ func TestMatchCacheDisabled(t *testing.T) {
 }
 
 func TestMatchBatchOrderAndResults(t *testing.T) {
-	s := testServer(Config{BatchWorkers: 4})
+	s := testServer(Config{})
 	queries := make([]string, 150)
 	for i := range queries {
 		switch i % 3 {
@@ -294,7 +294,7 @@ func TestHTTPStatsz(t *testing.T) {
 // -race this is the cache-under-concurrency acceptance test at the HTTP
 // layer.
 func TestServerConcurrentMixedLoad(t *testing.T) {
-	srv := testServer(Config{CacheSize: 32, BatchWorkers: 2})
+	srv := testServer(Config{CacheSize: 32})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -365,7 +365,7 @@ func probeSnapshot(entity int) *Snapshot {
 // same dictionary. With -race this doubles as the data-race proof for
 // the generation handle under both.
 func TestConcurrentDoAcrossInstall(t *testing.T) {
-	reg := NewRegistry(Config{CacheSize: 64, BatchWorkers: 4})
+	reg := NewRegistry(Config{CacheSize: 64})
 	s, err := reg.Add("probe", probeSnapshot(0), SnapshotMeta{})
 	if err != nil {
 		t.Fatal(err)

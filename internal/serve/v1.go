@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"websyn/internal/match"
@@ -126,6 +127,21 @@ func maxBodyBytes(maxBatch int) int64 {
 	return int64(1<<20) + 512*int64(maxBatch)
 }
 
+// endOfBody reports anything but whitespace after the one JSON value dec
+// has decoded: a second value or trailing garbage makes the body
+// malformed, not a request for its first value.
+func endOfBody(dec *json.Decoder) error {
+	tok, err := dec.Token()
+	switch {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return err
+	default:
+		return fmt.Errorf("unexpected %v after the request object", tok)
+	}
+}
+
 // ParseV1 reads a POST /v1/match or /v2/match body into the items to
 // answer and the batch-level domains fan-out: decode (unknown fields
 // rejected, body capped by the batch limit), the domain/domains
@@ -141,7 +157,11 @@ func ParseV1(w http.ResponseWriter, r *http.Request, maxBatch int, rewrite bool)
 	var req V1Request
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes(maxBatch)))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		err = endOfBody(dec)
+	}
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return fail(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)

@@ -120,7 +120,7 @@ func TestV1MatchSpanFuzzy(t *testing.T) {
 }
 
 func TestV1MatchBatch(t *testing.T) {
-	ts := httptest.NewServer(testServer(Config{BatchWorkers: 4}).Handler())
+	ts := httptest.NewServer(testServer(Config{}).Handler())
 	defer ts.Close()
 
 	body := `{
@@ -176,6 +176,9 @@ func TestV1MatchErrorPaths(t *testing.T) {
 		{"oversized batch", `{"queries": [{"query":"a"},{"query":"b"},{"query":"c"},{"query":"d"}]}`,
 			http.StatusRequestEntityTooLarge},
 		{"wrong type", `{"query": 42}`, http.StatusBadRequest},
+		{"second value", `{"query": "a"}{"query": "b"}`, http.StatusBadRequest},
+		{"trailing garbage", `{"query": "a"} garbage`, http.StatusBadRequest},
+		{"trailing brace", `{"query": "a"}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, data := postJSON(t, ts.URL+"/v1/match", tc.body)
@@ -187,6 +190,11 @@ func TestV1MatchErrorPaths(t *testing.T) {
 		if err := json.Unmarshal(data, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error body %q not a JSON error object", tc.name, data)
 		}
+	}
+
+	// Whitespace after the request object is not trailing data.
+	if resp, data := postJSON(t, ts.URL+"/v1/match", "{\"query\": \"indy 4\"}\r\n\t \n"); resp.StatusCode != http.StatusOK {
+		t.Errorf("trailing whitespace: status %d (%s)", resp.StatusCode, data)
 	}
 
 	// Per-item validation errors surface in-band, not as HTTP failures.

@@ -118,34 +118,3 @@ func min3(a, b, c int) int {
 	}
 	return a
 }
-
-// TokenEditDistance is the Levenshtein distance over whole normalized
-// tokens instead of runes: the cost of turning one token sequence into the
-// other with token insertions, deletions and substitutions. "madagascar 2"
-// vs "madagascar escape 2 africa" has token distance 2.
-func TokenEditDistance(a, b string) int {
-	ta, tb := Tokenize(a), Tokenize(b)
-	if len(ta) < len(tb) {
-		ta, tb = tb, ta
-	}
-	if len(tb) == 0 {
-		return len(ta)
-	}
-	prev := make([]int, len(tb)+1)
-	cur := make([]int, len(tb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ta); i++ {
-		cur[0] = i
-		for j := 1; j <= len(tb); j++ {
-			cost := 1
-			if ta[i-1] == tb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(tb)]
-}

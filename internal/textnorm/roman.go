@@ -86,42 +86,6 @@ func FromWord(s string) (int, bool) {
 	return 0, false
 }
 
-// NumeralValue interprets a normalized token as a small number in any of the
-// three surface forms users type: arabic digits ("4"), roman numerals
-// ("iv"), or words ("four"). The second result reports success.
-func NumeralValue(tok string) (int, bool) {
-	if n, ok := parseSmallInt(tok); ok {
-		return n, true
-	}
-	if n, ok := FromRoman(tok); ok {
-		return n, true
-	}
-	if n, ok := FromWord(tok); ok {
-		return n, true
-	}
-	return 0, false
-}
-
-// parseSmallInt parses a 1-2 digit positive integer without pulling in
-// strconv error allocation on the hot path.
-func parseSmallInt(tok string) (int, bool) {
-	if len(tok) == 0 || len(tok) > 2 {
-		return 0, false
-	}
-	n := 0
-	for i := 0; i < len(tok); i++ {
-		c := tok[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return n, true
-}
-
 // NumeralForms returns every surface form of n that users plausibly type:
 // digits, roman, word. Forms outside a converter's range are omitted.
 func NumeralForms(n int) []string {

@@ -60,9 +60,6 @@ var stopwords = map[string]bool{
 	"on": true, "or": true, "the": true, "to": true, "with": true,
 }
 
-// IsStopword reports whether the normalized token is a stopword.
-func IsStopword(tok string) bool { return stopwords[tok] }
-
 // SignificantTokens returns the normalized tokens of s with stopwords
 // removed. If every token is a stopword the full token list is returned
 // instead, so the result is non-empty whenever s has any token.
@@ -100,48 +97,6 @@ func Acronym(s string) string {
 	return b.String()
 }
 
-// TokenSet returns the set of normalized tokens of s.
-func TokenSet(s string) map[string]bool {
-	set := make(map[string]bool)
-	for _, t := range Tokenize(s) {
-		set[t] = true
-	}
-	return set
-}
-
-// Jaccard computes the Jaccard similarity between the token sets of a and b:
-// |A ∩ B| / |A ∪ B|. Two empty strings have similarity 1.
-func Jaccard(a, b string) float64 {
-	sa, sb := TokenSet(a), TokenSet(b)
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	inter := 0
-	for t := range sa {
-		if sb[t] {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
-// ContainsTokens reports whether every significant token of needle occurs in
-// haystack's token set (order-insensitive containment, the relation behind
-// "substring matching" approaches discussed in the paper's introduction).
-func ContainsTokens(haystack, needle string) bool {
-	hs := TokenSet(haystack)
-	for _, t := range SignificantTokens(needle) {
-		if !hs[t] {
-			return false
-		}
-	}
-	return true
-}
-
 // CharNGrams returns the multiset of character n-grams of the normalized
 // form of s (spaces included, as in standard approximate-matching practice).
 // Returns nil if the normalized string is shorter than n.
@@ -160,7 +115,7 @@ func CharNGrams(s string, n int) []string {
 
 // NGramSimilarity is the Dice coefficient over character n-gram multisets of
 // the two strings: 2*|common| / (|A|+|B|). It tolerates typos and spacing
-// differences better than token Jaccard.
+// differences better than token-set overlap.
 func NGramSimilarity(a, b string, n int) float64 {
 	ga, gb := CharNGrams(a, n), CharNGrams(b, n)
 	if len(ga) == 0 && len(gb) == 0 {

@@ -89,15 +89,12 @@ func TestSignificantTokens(t *testing.T) {
 }
 
 func TestIsStopword(t *testing.T) {
-	for _, sw := range []string{"the", "of", "and", "a"} {
-		if !IsStopword(sw) {
-			t.Errorf("IsStopword(%q) = false", sw)
-		}
-	}
-	for _, w := range []string{"dark", "knight", "", "350d"} {
-		if IsStopword(w) {
-			t.Errorf("IsStopword(%q) = true", w)
-		}
+	// SignificantTokens is the stopword set's one reader: stopwords go,
+	// content words stay.
+	got := SignificantTokens("a dark knight of the 350d")
+	want := []string{"dark", "knight", "350d"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("stopwords kept or content words dropped: %v, want %v", got, want)
 	}
 }
 
@@ -114,43 +111,6 @@ func TestAcronym(t *testing.T) {
 		if got := Acronym(c.in); got != c.want {
 			t.Errorf("Acronym(%q) = %q, want %q", c.in, got, c.want)
 		}
-	}
-}
-
-func TestJaccard(t *testing.T) {
-	if got := Jaccard("the dark knight", "dark knight"); got != 2.0/3.0 {
-		t.Errorf("Jaccard = %v, want 2/3", got)
-	}
-	if got := Jaccard("abc", "abc"); got != 1 {
-		t.Errorf("identical strings: Jaccard = %v", got)
-	}
-	if got := Jaccard("abc", "xyz"); got != 0 {
-		t.Errorf("disjoint strings: Jaccard = %v", got)
-	}
-	if got := Jaccard("", ""); got != 1 {
-		t.Errorf("empty strings: Jaccard = %v", got)
-	}
-}
-
-func TestJaccardSymmetric(t *testing.T) {
-	f := func(a, b string) bool {
-		return Jaccard(a, b) == Jaccard(b, a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestContainsTokens(t *testing.T) {
-	if !ContainsTokens("madagascar escape 2 africa", "escape africa") {
-		t.Error("expected containment")
-	}
-	if ContainsTokens("madagascar escape 2 africa", "madagascar 3") {
-		t.Error("unexpected containment")
-	}
-	// Stopwords in the needle are ignored.
-	if !ContainsTokens("kingdom crystal skull", "the kingdom of the crystal skull") {
-		t.Error("stopwords should not block containment")
 	}
 }
 
@@ -248,20 +208,20 @@ func TestWordRoundTrip(t *testing.T) {
 }
 
 func TestNumeralValue(t *testing.T) {
-	cases := []struct {
-		in string
-		n  int
-		ok bool
-	}{
-		{"4", 4, true}, {"iv", 4, true}, {"four", 4, true},
-		{"2", 2, true}, {"ii", 2, true}, {"two", 2, true},
-		{"0", 0, false}, {"", 0, false}, {"abc", 0, false},
-		{"123", 0, false}, {"12", 12, true},
+	// The roman and word readers each take only their own form.
+	for s, want := range map[string]int{"iv": 4, "ii": 2} {
+		if got, ok := FromRoman(s); !ok || got != want {
+			t.Errorf("FromRoman(%q) = %d,%v want %d", s, got, ok, want)
+		}
 	}
-	for _, c := range cases {
-		n, ok := NumeralValue(c.in)
-		if ok != c.ok || (ok && n != c.n) {
-			t.Errorf("NumeralValue(%q) = %d,%v want %d,%v", c.in, n, ok, c.n, c.ok)
+	for s, want := range map[string]int{"four": 4, "two": 2} {
+		if got, ok := FromWord(s); !ok || got != want {
+			t.Errorf("FromWord(%q) = %d,%v want %d", s, got, ok, want)
+		}
+	}
+	for _, s := range []string{"", "4", "iv", "abc"} {
+		if _, ok := FromWord(s); ok {
+			t.Errorf("FromWord accepted %q", s)
 		}
 	}
 }
@@ -358,24 +318,6 @@ func TestEditDistanceAtMostQuick(t *testing.T) {
 func TestEditDistanceAtMostNegativeK(t *testing.T) {
 	if EditDistanceAtMost("a", "a", -1) {
 		t.Error("negative k must return false")
-	}
-}
-
-func TestTokenEditDistance(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"madagascar 2", "madagascar escape 2 africa", 2},
-		{"the dark knight", "dark knight", 1},
-		{"", "", 0},
-		{"a b c", "", 3},
-		{"indiana jones 4", "indiana jones iv", 1},
-	}
-	for _, c := range cases {
-		if got := TokenEditDistance(c.a, c.b); got != c.want {
-			t.Errorf("TokenEditDistance(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-		}
 	}
 }
 

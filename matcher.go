@@ -36,14 +36,6 @@ const (
 	ModeFuzzy   = match.ModeFuzzy
 )
 
-// NewMatchEngine assembles an engine from its parts. fuzzy is the
-// trigram index over dict, or nil for segmentation only; canonicals maps
-// entity ID to canonical string and may be nil; minSim <= 0 uses the
-// package default.
-func NewMatchEngine(dict *MatchDictionary, fuzzy *FuzzyIndex, canonicals []string, minSim float64) *MatchEngine {
-	return match.NewEngine(dict, fuzzy, canonicals, minSim)
-}
-
 // BuildEngine compiles mined results into a ready-to-query engine: the
 // dictionary via BuildDictionary, the trigram index over it, and the
 // catalog's entity table. minSim <= 0 means DefaultFuzzyMinSim. The

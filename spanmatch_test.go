@@ -27,7 +27,7 @@ func jsonEq(t *testing.T, a, b any) bool {
 
 // TestEngineSpanFuzzyAcrossDatasets is the tentpole acceptance test:
 // for every data set, at least one typo'd multi-token span that plain
-// MatchQuery misses resolves through the engine's span-level fuzzy
+// segmentation misses resolves through the engine's span-level fuzzy
 // matching, and in-vocabulary leftovers ("showtimes") stay in the
 // remainder instead of being swallowed by trigram noise.
 func TestEngineSpanFuzzyAcrossDatasets(t *testing.T) {
@@ -80,8 +80,8 @@ func TestEngineSpanFuzzyAcrossDatasets(t *testing.T) {
 				t.Fatal(err)
 			}
 			dict := sim.BuildDictionary(results)
-			if m, ok := dict.MatchQuery(tc.query); ok {
-				t.Fatalf("MatchQuery already resolves %q to %+v; query no longer demonstrates the gap", tc.query, m)
+			if seg := dict.Segment(tc.query); len(seg.Matches) > 0 {
+				t.Fatalf("Segment already resolves %q to %+v; query no longer demonstrates the gap", tc.query, seg.Matches)
 			}
 
 			eng := sim.BuildEngine(results, 0)
